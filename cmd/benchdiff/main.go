@@ -20,10 +20,7 @@
 // the cold round — same-host by construction), its snapshot-restart
 // invariants (snapshot_restart: a restored server's first request must
 // reuse every snapshot constituent, drop nothing, and beat a cold
-// first request), and its portfolio invariants (portfolio: zero
-// verdict divergences, batched solving at least 1.5x faster than
-// serial, the racing front-end no slower than incremental-only beyond
-// noise), and its concurrency-twin invariants (concurrency: the
+// first request), and its concurrency-twin invariants (concurrency: the
 // cross-thread walk visits at most 1.5x the serialized twin's edges,
 // on a trace with >= 2 threads and racy edges — docs/CONCURRENCY.md).
 // The early-unsat-stop speedup ratio carries its own tighter
@@ -33,8 +30,7 @@
 // Usage:
 //
 //	benchdiff [-dir .] [-old f] [-new f] [-max-regress 0.20] [-max-growth 1.8]
-//	          [-max-speedup-drop 0.15] [-min-batch-ratio 1.5] [-portfolio-noise 1.25]
-//	          [-max-walk-ratio 1.5]
+//	          [-max-speedup-drop 0.15] [-max-walk-ratio 1.5]
 //
 // `make bench-diff` runs it over the checked-in artifacts; `make
 // check` includes it.
@@ -95,23 +91,6 @@ type artifact struct {
 		SummaryHits       int64   `json:"summary_hits"`
 		SolverCacheHits   int64   `json:"solver_cache_hits"`
 	} `json:"snapshot_restart"`
-	Portfolio *struct {
-		Queries         int     `json:"queries"`
-		Decided         int     `json:"decided"`
-		Divergences     int     `json:"divergences"`
-		WinsICP         int     `json:"wins_icp"`
-		WinsIncremental int     `json:"wins_incremental"`
-		WinsScratch     int     `json:"wins_scratch"`
-		PortfolioMS     float64 `json:"portfolio_ms"`
-		IncrementalMS   float64 `json:"incremental_ms"`
-		Batch           *struct {
-			Queries     int     `json:"queries"`
-			Divergences int     `json:"divergences"`
-			SerialMS    float64 `json:"serial_ms"`
-			BatchedMS   float64 `json:"batched_ms"`
-			Ratio       float64 `json:"ratio"`
-		} `json:"batch"`
-	} `json:"portfolio"`
 	Concurrency *struct {
 		ThreadedEvents int     `json:"threaded_events"`
 		SerialEvents   int     `json:"serial_events"`
@@ -141,8 +120,6 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0.20, "allowed relative regression per tracked metric")
 	maxGrowth := flag.Float64("max-growth", 1.8, "allowed summarized walked-edge growth per trace doubling")
 	maxSpeedupDrop := flag.Float64("max-speedup-drop", 0.15, "allowed relative drop of the early-unsat-stop speedup ratio")
-	minBatchRatio := flag.Float64("min-batch-ratio", 1.5, "required batched-vs-serial wall advantage in the fresh artifact")
-	portfolioNoise := flag.Float64("portfolio-noise", 1.25, "allowed portfolio-vs-incremental wall ratio in the fresh artifact")
 	maxWalkRatio := flag.Float64("max-walk-ratio", 1.5, "allowed threaded-vs-serialized walked-edge ratio in the fresh artifact")
 	flag.Parse()
 
@@ -163,7 +140,6 @@ func main() {
 	checkSublinear(*newPath, fresh, *maxGrowth)
 	checkServiceWarm(*newPath, fresh)
 	checkSnapshotRestart(*newPath, fresh)
-	checkPortfolio(*newPath, fresh, *minBatchRatio, *portfolioNoise)
 	checkConcurrency(*newPath, fresh, *maxWalkRatio)
 
 	if *oldPath == "" {
@@ -321,49 +297,6 @@ func checkSnapshotRestart(path string, a *artifact) {
 		fmt.Printf("snapshot restart: cold first %.1fms -> restored first %.1fms (%.1fx), %d/%d/%d restored\n",
 			sr.ColdFirstMS, sr.WarmFirstMS, sr.ColdFirstMS/sr.WarmFirstMS,
 			sr.RestoredPrograms, sr.RestoredSummaries, sr.RestoredVerdicts)
-	}
-}
-
-// checkPortfolio enforces the fresh artifact's own portfolio/batch
-// invariants (the cold/warm pattern again: both sides of each
-// comparison come from one benchjson run on one machine, so no host
-// gating is needed). Any verdict divergence is a soundness failure;
-// a batch ratio under minBatchRatio means prefix sharing stopped
-// paying; a portfolio slower than the incremental engine alone beyond
-// the noise margin means the racing front-end costs more than it buys.
-func checkPortfolio(path string, a *artifact, minBatchRatio, noise float64) {
-	p := a.Portfolio
-	if p == nil {
-		fmt.Printf("note: %s has no portfolio section, skipping\n", path)
-		return
-	}
-	if p.Divergences != 0 {
-		failf("%s: portfolio diverged from the stateless reference on %d/%d queries", path, p.Divergences, p.Decided)
-	}
-	if p.Decided == 0 {
-		failf("%s: portfolio corpus decided nothing — the comparison is vacuous", path)
-	}
-	if p.PortfolioMS > p.IncrementalMS*noise {
-		failf("%s: portfolio wall %.2fms vs incremental-only %.2fms — beyond the %.2fx noise margin",
-			path, p.PortfolioMS, p.IncrementalMS, noise)
-	} else {
-		fmt.Printf("portfolio: %d queries (icp/inc/scratch wins %d/%d/%d), %.1fms vs incremental-only %.1fms\n",
-			p.Queries, p.WinsICP, p.WinsIncremental, p.WinsScratch, p.PortfolioMS, p.IncrementalMS)
-	}
-	b := p.Batch
-	if b == nil {
-		failf("%s: portfolio section has no batch comparison", path)
-		return
-	}
-	if b.Divergences != 0 {
-		failf("%s: batched route diverged from serial on %d/%d queries", path, b.Divergences, b.Queries)
-	}
-	if b.Ratio < minBatchRatio {
-		failf("%s: batched route only %.2fx faster than serial (< %.2fx) — prefix sharing stopped paying",
-			path, b.Ratio, minBatchRatio)
-	} else {
-		fmt.Printf("batch: serial %.1fms -> batched %.1fms (%.2fx over %d queries)\n",
-			b.SerialMS, b.BatchedMS, b.Ratio, b.Queries)
 	}
 }
 

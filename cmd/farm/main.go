@@ -1,7 +1,7 @@
 // Command farm is the time-budgeted verification farm: one command
 // that keeps hammering the solver pipeline for as long as you give it
-// — the differential/metamorphic oracle campaign with the portfolio
-// front-end on, both native fuzz targets, and the benchmark suite,
+// — the differential/metamorphic oracle campaign, both native fuzz
+// targets, and the benchmark suite,
 // with every fresh BENCH_PR10.json gated by benchdiff against the
 // checked-in baseline. `make farm` runs it; `make check` includes a
 // short burst (FARMTIME=60s).
@@ -14,8 +14,8 @@
 // Phases per iteration (each bounded by the remaining budget):
 //
 //  1. Oracle: a fresh campaign (seed = iteration number, so every
-//     iteration explores new programs) with Portfolio on — any
-//     Theorem-1 violation fails the farm.
+//     iteration explores new programs) — any Theorem-1 violation fails
+//     the farm.
 //  2. Fuzz: FuzzParse and FuzzLinearize for -fuzztime each (the
 //     threaded-syntax and PSTRC02 fuzzers stay on `make fuzz`).
 //  3. Bench: when at least -bench-min budget remains, cmd/benchjson
@@ -26,8 +26,7 @@
 //
 // Before the loop, a planted-regression self-test proves the gate has
 // teeth: the newest artifact is copied into a scratch directory with
-// its early-unsat-stop speedup slashed and its batch ratio zeroed,
-// and benchdiff MUST fail on it — if it passes, the farm refuses to
+// its early-unsat-stop speedup slashed, and benchdiff MUST fail on it — if it passes, the farm refuses to
 // run. The workspace never touches the checked-in artifacts.
 //
 // Exit codes: 0 all phases green for the whole budget, 1 any failure.
@@ -112,8 +111,7 @@ func main() {
 	fmt.Printf("farm: ok — %d iteration(s) green\n", iter)
 }
 
-// oraclePhase runs one campaign with the portfolio front-end on. The
-// seed advances with the iteration so a long farm run explores fresh
+// oraclePhase runs one campaign. The seed advances with the iteration so a long farm run explores fresh
 // programs instead of re-verifying the first campaign forever.
 func oraclePhase(iter, seeds int, remaining time.Duration) error {
 	ceiling := 30 * time.Second
@@ -124,7 +122,6 @@ func oraclePhase(iter, seeds int, remaining time.Duration) error {
 		Seeds:     seeds,
 		Budget:    ceiling,
 		Seed:      int64(iter),
-		Portfolio: true,
 		CorpusDir: "testdata/oracle",
 	})
 	if len(stats.Violations) > 0 {
@@ -176,9 +173,8 @@ func benchPhase(wd string) error {
 
 // selftest proves benchdiff would catch a perf regression: it doctors
 // a copy of the newest artifact — early-unsat-stop speedup slashed to
-// a third (the 8.0x -> 6.6x slide class, exaggerated) and the batch
-// advantage zeroed — and requires benchdiff to fail on the scratch
-// directory.
+// a third (the 8.0x -> 6.6x slide class, exaggerated) — and requires
+// benchdiff to fail on the scratch directory.
 func selftest(wd string) error {
 	dir := filepath.Join(wd, "selftest")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -207,9 +203,8 @@ func selftest(wd string) error {
 }
 
 // plantRegression rewrites one artifact in place: speedup to a third
-// of its recorded value (with incremental_ms inflated to match, so the
-// artifact stays self-consistent) and the batched-solving ratio to
-// 1.0 (batching that buys nothing).
+// of its recorded value, with incremental_ms inflated to match so the
+// artifact stays self-consistent.
 func plantRegression(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -225,14 +220,6 @@ func plantRegression(path string) error {
 		}
 		if inc, ok := es["incremental_ms"].(float64); ok {
 			es["incremental_ms"] = inc * 3
-		}
-	}
-	if pf, ok := a["portfolio"].(map[string]any); ok {
-		if b, ok := pf["batch"].(map[string]any); ok {
-			b["ratio"] = 1.0
-			if s, ok := b["serial_ms"].(float64); ok {
-				b["batched_ms"] = s
-			}
 		}
 	}
 	doctored, err := json.MarshalIndent(a, "", "  ")

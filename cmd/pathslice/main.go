@@ -4,7 +4,7 @@
 // Usage:
 //
 //	pathslice [-long] [-unroll k] [-early] [-skipfns] [-summaries]
-//	          [-portfolio] [-portfolio-batch] [-trace-file f [-stream]]
+//	          [-trace-file f [-stream]]
 //	          [-conc-trace f] [-deadline d] [-fault-* ...]
 //	          [-trace-out f] [-metrics-addr a] [-v] file.mc
 //
@@ -67,8 +67,6 @@ func main() {
 	early := flag.Bool("early", false, "enable the early-unsat-stop optimization (§4.2)")
 	skip := flag.Bool("skipfns", false, "enable the function-skipping optimization (§4.2; loses completeness)")
 	summaries := flag.Bool("summaries", false, "memoize context-keyed callee frame summaries (gcc-scale traces; docs/PERFORMANCE.md)")
-	portfolio := flag.Bool("portfolio", false, "race solver strategies per feasibility query (incremental vs stateless vs interval prefilter; docs/PERFORMANCE.md)")
-	portfolioBatch := flag.Bool("portfolio-batch", false, "defer feasibility verdicts and decide all targets in one batched solver call (shared trace prefixes asserted once)")
 	traceFile := flag.String("trace-file", "", "record each candidate path to this binary trace file (.N suffix per extra target)")
 	concTrace := flag.String("conc-trace", "", "slice a recorded multi-threaded PSTRC02 trace of file.mc (docs/CONCURRENCY.md) instead of searching for a path")
 	stream := flag.Bool("stream", false, "slice by streaming from -trace-file (bounded resident frames) instead of from memory")
@@ -116,7 +114,6 @@ func main() {
 		SkipFunctions:  *skip,
 		Summaries:      *summaries,
 		RecordTrace:    *trace,
-		Portfolio:      *portfolio,
 	})
 	feasible, undecided := 0, 0
 	if *concTrace != "" {
@@ -132,10 +129,6 @@ func main() {
 		}
 		return
 	}
-	// -portfolio-batch defers the per-target feasibility verdicts and
-	// decides them all in one grouped solver call after the loop.
-	var batchTargets []*cfa.Loc
-	var batchSlices []cfa.Path
 	for ti, target := range locs {
 		var path cfa.Path
 		if *long {
@@ -206,25 +199,8 @@ func main() {
 			fmt.Printf("  verdict: INFEASIBLE (early stop after %d solver checks)\n", st.SolverChecks)
 			continue
 		}
-		if *portfolioBatch {
-			batchTargets = append(batchTargets, target)
-			batchSlices = append(batchSlices, res.Slice)
-			continue
-		}
 		fr, _ := slicer.CheckFeasibilityCtx(ctx, res.Slice)
 		printVerdict(fr, &feasible, &undecided)
-	}
-	if len(batchSlices) > 0 {
-		ctx := context.Background()
-		if *deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *deadline)
-			defer cancel()
-		}
-		for i, fr := range slicer.CheckFeasibilityBatchCtx(ctx, batchSlices, nil, 1) {
-			fmt.Printf("%s:", batchTargets[i])
-			printVerdict(fr, &feasible, &undecided)
-		}
 	}
 	if *solverStats {
 		fmt.Fprintln(os.Stderr, "solver counters:")
@@ -270,14 +246,14 @@ func runConcTrace(slicer *core.Slicer, prog *cfa.Program, file string, deadline 
 	if verbose {
 		fmt.Printf("--- trace ---\n%s--- slice ---\n%s", tr, res.Slice)
 	}
-	fr, _ := slicer.CheckConcFeasibility(res.Slice)
+	fr, _ := slicer.CheckConcFeasibilityCtx(ctx, res.Slice)
 	// The verdict speaks only for the recorded interleaving; an Unsat
 	// here does not rule out other legal reorderings.
 	printVerdict(fr, feasible, undecided)
 }
 
 // printVerdict renders one feasibility result and updates the exit-code
-// tallies (shared by the inline and the batched verdict paths).
+// tallies (shared by the sequential and the threaded paths).
 func printVerdict(fr smt.Result, feasible, undecided *int) {
 	switch fr.Status {
 	case smt.StatusSat:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -76,7 +77,7 @@ func EarlyStopScratch(prog *cfa.Program, path cfa.Path) (int, error) {
 		fs = append(fs, enc.EncodeOpBackward(op))
 		if op.Kind == cfa.OpAssume {
 			checks++
-			if smt.Solve(logic.MkAnd(fs...)).Status == smt.StatusUnsat {
+			if smt.SolveCtx(context.Background(), logic.MkAnd(fs...), smt.Limits{}).Status == smt.StatusUnsat {
 				return checks, nil
 			}
 		}

@@ -569,12 +569,16 @@ func (w *concWalker) countTaken(k cfa.OpKind) {
 // order says nothing about other legal reorderings, which is exactly
 // why the concurrent walk never early-stops.
 func (s *Slicer) CheckConcFeasibility(tr cfa.ConcTrace) (smt.Result, *wp.TraceEncoder) {
+	return s.CheckConcFeasibilityCtx(context.Background(), tr)
+}
+
+// CheckConcFeasibilityCtx is CheckConcFeasibility under a context: when
+// it is cancelled or times out the solve returns StatusUnknown — never
+// a wrong Sat or Unsat.
+func (s *Slicer) CheckConcFeasibilityCtx(ctx context.Context, tr cfa.ConcTrace) (smt.Result, *wp.TraceEncoder) {
 	sp := obs.StartSpan(obs.PhaseFeasibility)
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(tr.Ops())
-	if s.Opts.Portfolio {
-		return smt.SolvePortfolioCtx(context.Background(), f, s.Opts.SolverLimits), enc
-	}
-	return smt.SolveCtx(context.Background(), f, s.Opts.SolverLimits), enc
+	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
 }

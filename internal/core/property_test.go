@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -195,7 +196,7 @@ func TestBackwardEncoderMatchesForward(t *testing.T) {
 		for j := len(ops) - 1; j >= 0; j-- {
 			solver.Assert(bwd.EncodeOpBackward(ops[j]))
 		}
-		rf := smt.Solve(fFwd)
+		rf := smt.SolveCtx(context.Background(), fFwd, smt.Limits{})
 		rb := solver.Check()
 		if rf.Status != rb.Status {
 			t.Fatalf("forward %s vs backward %s\n%s\nslice:\n%s",

@@ -105,11 +105,6 @@ type Options struct {
 	// the paper's Figures 1(C) and 2(B). Costs a live-set copy per
 	// edge; leave off in production runs.
 	RecordTrace bool
-	// Portfolio routes feasibility checks through the smt portfolio
-	// front-end (incremental vs stateless vs interval prefilter racing
-	// per query; docs/PERFORMANCE.md) instead of the stateless solver
-	// alone. Verdicts are bit-identical — only latency changes.
-	Portfolio bool
 	// Unsound deliberately weakens one Take rule (test-only). The
 	// oracle suite flips these modes on to prove it would catch a real
 	// soundness or completeness regression in the slicer; production
@@ -968,32 +963,7 @@ func (s *Slicer) CheckFeasibilityCtx(ctx context.Context, p cfa.Path) (smt.Resul
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(p.Ops())
-	if s.Opts.Portfolio {
-		return smt.SolvePortfolioCtx(ctx, f, s.Opts.SolverLimits), enc
-	}
 	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
-}
-
-// CheckFeasibilityBatchCtx decides feasibility of several paths in one
-// batched solver call (smt.SolveBatchCtx): queries are answered from
-// the cache where possible, grouped by shared variable support, and
-// walked on per-group incremental solvers so common trace prefixes are
-// asserted once. Results are in input order; workers bounds concurrent
-// groups (<=1 means serial). Verdict semantics match per-path
-// CheckFeasibilityCtx.
-func (s *Slicer) CheckFeasibilityBatchCtx(ctx context.Context, paths []cfa.Path, cache *smt.Cache, workers int) []smt.Result {
-	sp := obs.StartSpan(obs.PhaseFeasibility)
-	defer sp.End()
-	fs := make([]logic.Formula, len(paths))
-	for i, p := range paths {
-		enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
-		fs[i] = enc.EncodeTrace(p.Ops())
-	}
-	return smt.SolveBatchCtx(ctx, fs, smt.BatchOptions{
-		Workers: workers,
-		Cache:   cache,
-		Lim:     s.Opts.SolverLimits,
-	})
 }
 
 // TraceFormula returns the forward SSA constraint formula of a path's

@@ -18,6 +18,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -228,7 +229,7 @@ func (bc *bruteChecker) evaluate(idx []int, fullStatus smt.Status) (verdict, str
 		sub[i] = bc.path[k]
 	}
 	enc := wp.NewTraceEncoder(bc.prog, bc.slicer.Alias, bc.slicer.Addrs)
-	r := smt.SolveWithLimits(enc.EncodeTrace(ops), bc.slicer.Opts.SolverLimits)
+	r := smt.SolveCtx(context.Background(), enc.EncodeTrace(ops), bc.slicer.Opts.SolverLimits)
 	switch r.Status {
 	case smt.StatusUnknown:
 		return vUnknown, "subtrace feasibility unknown"

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -144,7 +145,7 @@ func TestSliceParity(t *testing.T) {
 	if fmt.Sprint(tg.Slice) != fmt.Sprint(wantEdges) {
 		t.Fatalf("slice mismatch:\nservice    %v\nin-process %v", tg.Slice, wantEdges)
 	}
-	fr := smt.Solve(sl.TraceFormula(res.Slice))
+	fr := smt.SolveCtx(context.Background(), sl.TraceFormula(res.Slice), smt.Limits{})
 	wantFeas := map[smt.Status]string{smt.StatusSat: "feasible", smt.StatusUnsat: "infeasible"}[fr.Status]
 	if wantFeas == "" {
 		wantFeas = "unknown"
@@ -214,59 +215,23 @@ func TestWarmReuse(t *testing.T) {
 	}
 }
 
-// TestPortfolioOption: the per-request portfolio field is tri-state —
-// omitted means the server default (on), and forcing it either way
-// changes routing, never verdicts. Warm-reuse counters must keep
-// firing with the portfolio on, and a portfolio-populated solver
-// cache must serve the non-portfolio route (same canonical keys).
+// TestPortfolioOption: the per-request "portfolio" field is retired.
+// Decoding is strict, so a client still sending it gets the typed 400
+// on both endpoints rather than a silently ignored setting; the same
+// request without the field answers normally.
 func TestPortfolioOption(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	on, off := true, false
-
-	for _, src := range []string{srcBug, srcSafe, srcLoop} {
-		def := postSlice(t, ts, SliceRequest{Source: src, Long: true})
-		won := postSlice(t, ts, SliceRequest{Source: src, Long: true, Portfolio: &on})
-		woff := postSlice(t, ts, SliceRequest{Source: src, Long: true, Portfolio: &off})
-		if won.Verdict != def.Verdict || woff.Verdict != def.Verdict {
-			t.Fatalf("portfolio option changed a slice verdict: default %q, on %q, off %q",
-				def.Verdict, won.Verdict, woff.Verdict)
+	for _, ep := range []string{"/v1/slice", "/v1/check"} {
+		code, e := post[ErrorResponse](t, ts.URL+ep, map[string]any{"source": srcBug, "portfolio": true})
+		if code != http.StatusBadRequest || e.Error != "bad_request" {
+			t.Fatalf("%s with portfolio: got %d/%q, want 400/bad_request", ep, code, e.Error)
 		}
 	}
-
-	// Warm reuse with the portfolio explicitly on: resident program,
-	// and solver verdicts answered from the shared cache.
-	warm := postSlice(t, ts, SliceRequest{Source: srcLoop, Long: true, Portfolio: &on})
-	if !warm.Reuse.ProgramCacheHit {
-		t.Fatal("warm portfolio slice must hit the program cache")
+	if r := postSlice(t, ts, SliceRequest{Source: srcBug}); r.Verdict != VerdictBug {
+		t.Fatalf("slice verdict = %q, want bug", r.Verdict)
 	}
-	if warm.Reuse.SolverCacheHits == 0 {
-		t.Fatal("warm portfolio slice must hit the shared solver cache")
-	}
-	// The cache those hits came from was populated through the
-	// portfolio route; the stateless route must read it unchanged.
-	offWarm := postSlice(t, ts, SliceRequest{Source: srcLoop, Long: true, Portfolio: &off})
-	if offWarm.Reuse.SolverCacheHits == 0 {
-		t.Fatal("portfolio-populated solver cache did not serve the stateless route")
-	}
-
-	conOn := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &on})
-	conOff := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &off})
-	if conOn.Verdict != conOff.Verdict {
-		t.Fatalf("portfolio option changed a check verdict: on %q, off %q", conOn.Verdict, conOff.Verdict)
-	}
-	warmCheck := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &on})
-	if !warmCheck.Reuse.ProgramCacheHit || warmCheck.Reuse.PostMemoHits == 0 {
-		t.Fatal("warm portfolio check must reuse the program cache and post memo")
-	}
-
-	// A server started with the portfolio disabled answers identically.
-	_, tsOff := newTestServer(t, Config{DisablePortfolio: true})
-	for _, src := range []string{srcBug, srcSafe} {
-		a := postSlice(t, ts, SliceRequest{Source: src, Long: true})
-		b := postSlice(t, tsOff, SliceRequest{Source: src, Long: true})
-		if a.Verdict != b.Verdict {
-			t.Fatalf("DisablePortfolio changed a verdict for %q: %q vs %q", src[:20], a.Verdict, b.Verdict)
-		}
+	if r := postCheck(t, ts, CheckRequest{Source: srcBug}); r.Verdict != VerdictBug {
+		t.Fatalf("check verdict = %q, want bug", r.Verdict)
 	}
 }
 
@@ -521,11 +486,9 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-// TestConcTraceUpload: a multi-threaded PSTRC02 trace uploaded as
-// base64 routes to the two-phase concurrent walk, reports its
-// racy-edge structure, and matches the in-process ConcSlice verdict.
-func TestConcTraceUpload(t *testing.T) {
-	const srcConc = `
+// srcConc is a two-thread program whose error is reachable under the
+// interleavings where the worker runs before main's checks.
+const srcConc = `
 int g;
 int done;
 void wrk() {
@@ -540,19 +503,28 @@ void main() {
   }
 }
 `
+
+// concBugTrace records an interleaving of srcConc that reaches the
+// error location.
+func concBugTrace(t *testing.T) (*cfa.Program, cfa.ConcTrace) {
+	t.Helper()
 	prog := compile.MustSource(srcConc)
-	var tr cfa.ConcTrace
 	for seed := uint64(0); seed < 64; seed++ {
 		st := interp.NewState(prog, wp.NewAddrMap(prog))
 		r := interp.ConcRun(prog, st, interp.ZeroInputs{}, interp.ConcRunOptions{RecordTrace: true, Seed: seed})
 		if r.ReachedError {
-			tr = r.Trace
-			break
+			return prog, r.Trace
 		}
 	}
-	if tr == nil {
-		t.Fatal("no error interleaving found")
-	}
+	t.Fatal("no error interleaving found")
+	return nil, nil
+}
+
+// TestConcTraceUpload: a multi-threaded PSTRC02 trace uploaded as
+// base64 routes to the two-phase concurrent walk, reports its
+// racy-edge structure, and matches the in-process ConcSlice verdict.
+func TestConcTraceUpload(t *testing.T) {
+	prog, tr := concBugTrace(t)
 
 	_, ts := newTestServer(t, Config{})
 	got := postSlice(t, ts, SliceRequest{
@@ -578,5 +550,37 @@ void main() {
 	if tg.SliceEdges != want.Stats.SliceEdges || tg.RacyEdges != want.Stats.RacyEdges {
 		t.Fatalf("service/in-process divergence: got %d edges %d racy, want %d/%d",
 			tg.SliceEdges, tg.RacyEdges, want.Stats.SliceEdges, want.Stats.RacyEdges)
+	}
+}
+
+// TestConcTraceDeadline: the feasibility solve of an uploaded PSTRC02
+// trace runs under the request deadline. With every solve stalled far
+// past a short deadline, the request must come back promptly with an
+// unknown, degraded answer instead of waiting out the stall.
+func TestConcTraceDeadline(t *testing.T) {
+	prog, tr := concBugTrace(t)
+	prev := faults.Install(faults.New(faults.Config{
+		Seed:  1,
+		Rates: map[faults.Kind]float64{faults.SolverStall: 1},
+		Stall: 3 * time.Second,
+	}))
+	defer faults.Install(prev)
+
+	_, ts := newTestServer(t, Config{})
+	const deadline = 100 * time.Millisecond
+	start := time.Now()
+	got := postSlice(t, ts, SliceRequest{
+		Source:     srcConc,
+		TraceB64:   base64.StdEncoding.EncodeToString(cfa.AppendConcTrace(nil, prog, tr)),
+		DeadlineMS: int(deadline / time.Millisecond),
+	})
+	if elapsed := time.Since(start); elapsed > deadline+time.Second {
+		t.Fatalf("request took %v under a %v deadline: the threaded feasibility solve ignored it", elapsed, deadline)
+	}
+	if len(got.Targets) != 1 || got.Targets[0].Feasibility != "unknown" || !got.Degraded {
+		t.Fatalf("stalled threaded slice = %+v, want one unknown target and degraded", got)
+	}
+	if got.Verdict == VerdictOK {
+		t.Fatalf("an expired deadline must not prove the trace infeasible (verdict %q)", got.Verdict)
 	}
 }

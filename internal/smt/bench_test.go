@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -43,7 +44,7 @@ func BenchmarkSolverIncremental(b *testing.B) {
 				var fs []logic.Formula
 				for j := 0; j < n; j++ {
 					fs = append(fs, chainLink(j))
-					if r := Solve(logic.MkAnd(fs...)); r.Status != StatusSat {
+					if r := SolveCtx(context.Background(), logic.MkAnd(fs...), Limits{}); r.Status != StatusSat {
 						b.Fatalf("link %d: %v", j, r.Status)
 					}
 				}

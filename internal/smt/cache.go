@@ -24,7 +24,7 @@ const DefaultCacheSize = 1 << 16
 // must be re-derived. A hit returns the verdict without a model — the
 // model of the original solve is not transferable across the renaming
 // the canonical key quotients out — so callers that need a witness must
-// call Solve directly.
+// call SolveCtx directly.
 //
 // The cache is sharded and safe for concurrent use; each shard is an
 // LRU list bounded so the total entry count stays at the configured
@@ -81,57 +81,7 @@ func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// Solve decides f, consulting and populating the cache.
-func (c *Cache) Solve(f logic.Formula) Result { return c.SolveWithLimits(f, Limits{}) }
-
-// SolveWithLimits decides f under explicit limits, consulting and
-// populating the cache. Cached verdicts are returned regardless of lim:
-// they are definitive for any limit setting.
-func (c *Cache) SolveWithLimits(f logic.Formula, lim Limits) Result {
-	return c.SolveCtx(context.Background(), f, lim)
-}
-
-// SolveCtx decides f under ctx and explicit limits, consulting and
-// populating the cache. A cancelled or deadline-expired solve returns
-// StatusUnknown and is never stored, so a timeout can never poison the
-// cache with a wrong verdict.
-func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
-	return c.solveVia(ctx, f, lim, SolveCtx)
-}
-
-// SolvePortfolioCtx is SolveCtx with the portfolio front-end as the
-// decision procedure: same canonical keys, same lookup and store path,
-// so a portfolio-populated cache is interchangeable with a
-// SolveCtx-populated one.
-func (c *Cache) SolvePortfolioCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
-	return c.solveVia(ctx, f, lim, SolvePortfolioCtx)
-}
-
-// solveVia is the shared cache path: canonical-key lookup, the
-// CacheEvict fault draw, one decision-procedure run on miss, and a
-// definitive-verdicts-only store.
-func (c *Cache) solveVia(ctx context.Context, f logic.Formula, lim Limits, solve func(context.Context, logic.Formula, Limits) Result) Result {
-	key := logic.Key(f)
-	// Fault injection (docs/ROBUSTNESS.md): drop the entry before the
-	// lookup, forcing a re-solve through the concurrent-eviction path.
-	// Harmless for correctness — only Sat/Unsat verdicts are cached
-	// and re-solving rederives them.
-	if faults.Should(faults.CacheEvict) {
-		c.evict(key)
-	}
-	if st, ok := c.peek(key); ok {
-		return Result{Status: st}
-	}
-	r := solve(ctx, f, lim)
-	if r.Status != StatusUnknown {
-		c.store(key, r.Status)
-	}
-	return r
-}
-
-// peek looks key up, counting a hit or a miss. The batch solver uses it
-// to pre-filter batches so its hit/miss accounting matches the serial
-// path exactly.
+// peek looks key up, counting a hit or a miss.
 func (c *Cache) peek(key string) (Status, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -258,28 +208,31 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// CachedSolve decides f through cache c; a nil cache falls back to the
-// plain solver, so callers can thread an optional cache without
-// branching.
-func CachedSolve(c *Cache, f logic.Formula) Result {
-	return CachedSolveCtx(context.Background(), c, f, Limits{})
-}
-
-// CachedSolveCtx is CachedSolve with a context and explicit limits: a
-// nil cache falls back to SolveCtx directly.
+// CachedSolveCtx decides f under ctx and explicit limits through cache
+// c, consulting and populating it; a nil cache falls back to SolveCtx
+// directly, so callers can thread an optional cache without branching.
+// Cached verdicts are returned regardless of lim: they are definitive
+// for any limit setting. A cancelled or deadline-expired solve returns
+// StatusUnknown and is never stored, so a timeout can never poison the
+// cache with a wrong verdict.
 func CachedSolveCtx(ctx context.Context, c *Cache, f logic.Formula, lim Limits) Result {
 	if c == nil {
 		return SolveCtx(ctx, f, lim)
 	}
-	return c.SolveCtx(ctx, f, lim)
-}
-
-// CachedSolvePortfolioCtx is CachedSolveCtx with the portfolio
-// front-end as the decision procedure; a nil cache falls back to
-// SolvePortfolioCtx directly.
-func CachedSolvePortfolioCtx(ctx context.Context, c *Cache, f logic.Formula, lim Limits) Result {
-	if c == nil {
-		return SolvePortfolioCtx(ctx, f, lim)
+	key := logic.Key(f)
+	// Fault injection (docs/ROBUSTNESS.md): drop the entry before the
+	// lookup, forcing a re-solve through the concurrent-eviction path.
+	// Harmless for correctness — only Sat/Unsat verdicts are cached
+	// and re-solving rederives them.
+	if faults.Should(faults.CacheEvict) {
+		c.evict(key)
 	}
-	return c.SolvePortfolioCtx(ctx, f, lim)
+	if st, ok := c.peek(key); ok {
+		return Result{Status: st}
+	}
+	r := SolveCtx(ctx, f, lim)
+	if r.Status != StatusUnknown {
+		c.store(key, r.Status)
+	}
+	return r
 }

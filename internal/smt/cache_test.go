@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,10 +23,10 @@ func unsatFormula(v string) logic.Formula {
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(0) // default capacity
 	f := unsatFormula("x")
-	if r := c.Solve(f); r.Status != StatusUnsat {
+	if r := CachedSolveCtx(context.Background(), c, f, Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
-	if r := c.Solve(f); r.Status != StatusUnsat {
+	if r := CachedSolveCtx(context.Background(), c, f, Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status on hit: %v", r.Status)
 	}
 	st := c.Stats()
@@ -38,18 +39,18 @@ func TestCacheHitsAcrossFreshRenaming(t *testing.T) {
 	// The canonical key makes queries minted under different fresh
 	// counters share an entry: the second solve must be a hit.
 	c := NewCache(0)
-	if r := c.Solve(unsatFormula("$f17")); r.Status != StatusUnsat {
+	if r := CachedSolveCtx(context.Background(), c, unsatFormula("$f17"), Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
-	if r := c.Solve(unsatFormula("$f9000")); r.Status != StatusUnsat {
+	if r := CachedSolveCtx(context.Background(), c, unsatFormula("$f9000"), Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Errorf("renamed query should hit: %+v", st)
 	}
 	// A program variable is not renamed: different var, different entry.
-	c.Solve(unsatFormula("x"))
-	c.Solve(unsatFormula("y"))
+	CachedSolveCtx(context.Background(), c, unsatFormula("x"), Limits{})
+	CachedSolveCtx(context.Background(), c, unsatFormula("y"), Limits{})
 	if st := c.Stats(); st.Misses != 3 {
 		t.Errorf("program-variable queries must miss separately: %+v", st)
 	}
@@ -57,11 +58,11 @@ func TestCacheHitsAcrossFreshRenaming(t *testing.T) {
 
 func TestCacheHitOmitsModel(t *testing.T) {
 	c := NewCache(0)
-	first := c.Solve(satFormula("$in1"))
+	first := CachedSolveCtx(context.Background(), c, satFormula("$in1"), Limits{})
 	if first.Status != StatusSat || first.Model == nil {
 		t.Fatalf("first solve: %+v", first)
 	}
-	second := c.Solve(satFormula("$in2"))
+	second := CachedSolveCtx(context.Background(), c, satFormula("$in2"), Limits{})
 	if second.Status != StatusSat {
 		t.Fatalf("hit status: %v", second.Status)
 	}
@@ -74,7 +75,7 @@ func TestCacheEvictionBound(t *testing.T) {
 	const capacity = 32
 	c := NewCache(capacity)
 	for i := 0; i < 10*capacity; i++ {
-		c.Solve(logic.Cmp{Op: logic.CmpGt, X: logic.Var{Name: fmt.Sprintf("v%d", i)}, Y: logic.Const{V: int64(i)}})
+		CachedSolveCtx(context.Background(), c, logic.Cmp{Op: logic.CmpGt, X: logic.Var{Name: fmt.Sprintf("v%d", i)}, Y: logic.Const{V: int64(i)}}, Limits{})
 	}
 	st := c.Stats()
 	if st.Entries > capacity {
@@ -94,10 +95,10 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				f := unsatFormula(fmt.Sprintf("v%d", i%10))
-				if r := c.Solve(f); r.Status != StatusUnsat {
+				if r := CachedSolveCtx(context.Background(), c, f, Limits{}); r.Status != StatusUnsat {
 					t.Errorf("goroutine %d: status %v", g, r.Status)
 				}
-				if r := c.Solve(satFormula(fmt.Sprintf("$f%d", g*100+i))); r.Status != StatusSat {
+				if r := CachedSolveCtx(context.Background(), c, satFormula(fmt.Sprintf("$f%d", g*100+i)), Limits{}); r.Status != StatusSat {
 					t.Errorf("goroutine %d: sat status %v", g, r.Status)
 				}
 			}
@@ -111,7 +112,7 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCachedSolveNilCache(t *testing.T) {
-	r := CachedSolve(nil, unsatFormula("x"))
+	r := CachedSolveCtx(context.Background(), nil, unsatFormula("x"), Limits{})
 	if r.Status != StatusUnsat {
 		t.Errorf("nil cache must fall through to Solve: %v", r.Status)
 	}

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"testing"
 
 	"pathslice/internal/logic"
@@ -25,7 +26,7 @@ func TestUnsatCoreBasic(t *testing.T) {
 		t.Errorf("core indices: %v", idx)
 	}
 	// The core itself must be unsat.
-	if r := Solve(logic.MkAnd(core...)); r.Status != StatusUnsat {
+	if r := SolveCtx(context.Background(), logic.MkAnd(core...), Limits{}); r.Status != StatusUnsat {
 		t.Error("core is not unsat")
 	}
 }

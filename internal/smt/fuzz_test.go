@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -89,7 +90,7 @@ func FuzzLinearize(f *testing.F) {
 		d := &fuzzDecoder{data: data}
 		formula := d.formula(3)
 		lim := Limits{MaxLeaves: 200, MaxBBDepth: 12, MaxModels: 8}
-		r := SolveWithLimits(formula, lim)
+		r := SolveCtx(context.Background(), formula, lim)
 		// Cross-check the incremental solver: asserting the same formula
 		// into a fresh Solver must agree on every decided verdict, and
 		// must never answer Unknown where from-scratch solving decides

@@ -638,7 +638,7 @@ func (s *Solver) UnsatCore() ([]logic.Formula, []int) {
 			trial = append(trial, s.asserted[i])
 		}
 		s.Checks++
-		if SolveWithLimits(logic.MkAnd(trial...), s.lim).Status == StatusUnsat {
+		if SolveCtx(context.Background(), logic.MkAnd(trial...), s.lim).Status == StatusUnsat {
 			core = append(core[:k], core[k+1:]...)
 			k--
 		}

@@ -20,10 +20,10 @@ func TestMaxLeavesExhaustionIsUnknown(t *testing.T) {
 		logic.MkOr(eq(v("x"), c(0)), eq(v("x"), c(1))),
 		logic.MkOr(eq(v("x"), c(2)), eq(v("x"), c(3))),
 	)
-	if st := SolveWithLimits(f, Limits{MaxLeaves: 1}).Status; st != StatusUnknown {
+	if st := SolveCtx(context.Background(), f, Limits{MaxLeaves: 1}).Status; st != StatusUnknown {
 		t.Fatalf("MaxLeaves=1: got %v, want Unknown", st)
 	}
-	if st := SolveWithLimits(f, Limits{MaxLeaves: 100}).Status; st != StatusUnsat {
+	if st := SolveCtx(context.Background(), f, Limits{MaxLeaves: 100}).Status; st != StatusUnsat {
 		t.Fatalf("MaxLeaves=100: got %v, want Unsat", st)
 	}
 }
@@ -39,7 +39,7 @@ func TestMaxBBDepthExhaustionIsUnknown(t *testing.T) {
 		Y: logic.Bin{Op: logic.OpMul, X: c(4), Y: v("y")}}
 	f := logic.MkAnd(ge(line, c(3)), le(line, c(3)))
 	for _, depth := range []int{1, 2, 5} {
-		if st := SolveWithLimits(f, Limits{MaxBBDepth: depth}).Status; st != StatusUnknown {
+		if st := SolveCtx(context.Background(), f, Limits{MaxBBDepth: depth}).Status; st != StatusUnknown {
 			t.Fatalf("MaxBBDepth=%d: got %v, want Unknown", depth, st)
 		}
 	}
@@ -53,7 +53,7 @@ func TestMaxBBDepthExhaustionIsUnknown(t *testing.T) {
 func TestMaxModelsExhaustionIsUnknown(t *testing.T) {
 	f := eq(logic.Bin{Op: logic.OpMul, X: v("x"), Y: v("x")}, c(3))
 	for _, mm := range []int{1, 4} {
-		if st := SolveWithLimits(f, Limits{MaxModels: mm}).Status; st == StatusSat {
+		if st := SolveCtx(context.Background(), f, Limits{MaxModels: mm}).Status; st == StatusSat {
 			t.Fatalf("MaxModels=%d: got Sat for unsatisfiable x*x=3", mm)
 		}
 	}
@@ -81,7 +81,7 @@ func TestStalledSolverReturnsWithinDeadline(t *testing.T) {
 	defer faults.Install(prev)
 
 	start := time.Now()
-	r := SolveWithLimits(eq(v("x"), c(1)), Limits{Deadline: 50 * time.Millisecond})
+	r := SolveCtx(context.Background(), eq(v("x"), c(1)), Limits{Deadline: 50 * time.Millisecond})
 	elapsed := time.Since(start)
 	if r.Status != StatusUnknown {
 		t.Fatalf("stalled solve: got %v, want Unknown", r.Status)
@@ -105,13 +105,13 @@ func TestInjectedUnknownNeverFlipsVerdicts(t *testing.T) {
 	unsat := logic.MkAnd(eq(v("x"), c(1)), eq(v("x"), c(2)))
 	sawInjected := false
 	for i := 0; i < 40; i++ {
-		if st := Solve(sat).Status; st != StatusSat {
+		if st := SolveCtx(context.Background(), sat, Limits{}).Status; st != StatusSat {
 			if st != StatusUnknown {
 				t.Fatalf("sat formula answered %v", st)
 			}
 			sawInjected = true
 		}
-		if st := Solve(unsat).Status; st != StatusUnsat {
+		if st := SolveCtx(context.Background(), unsat, Limits{}).Status; st != StatusUnsat {
 			if st != StatusUnknown {
 				t.Fatalf("unsat formula answered %v", st)
 			}
@@ -155,7 +155,7 @@ func TestCacheConcurrentWithInjectedEvictions(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for _, tc := range cases {
-					if st := cache.Solve(tc.f).Status; st != tc.want {
+					if st := CachedSolveCtx(context.Background(), cache, tc.f, Limits{}).Status; st != tc.want {
 						select {
 						case errs <- st.String() + " != " + tc.want.String():
 						default:
@@ -186,12 +186,12 @@ func TestUnknownIsNeverCached(t *testing.T) {
 		Seed:  9,
 		Rates: map[faults.Kind]float64{faults.SolverUnknown: 1},
 	}))
-	if st := cache.Solve(f).Status; st != StatusUnknown {
+	if st := CachedSolveCtx(context.Background(), cache, f, Limits{}).Status; st != StatusUnknown {
 		faults.Install(prev)
 		t.Fatalf("forced-unknown solve answered %v", st)
 	}
 	faults.Install(prev)
-	if st := cache.Solve(f).Status; st != StatusSat {
+	if st := CachedSolveCtx(context.Background(), cache, f, Limits{}).Status; st != StatusSat {
 		t.Fatalf("post-fault solve answered %v, want Sat (unknown must not be cached)", st)
 	}
 }

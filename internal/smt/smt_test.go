@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -22,9 +23,9 @@ func ge(x, y logic.Term) logic.Formula { return logic.Cmp{Op: logic.CmpGe, X: x,
 
 func wantStatus(t *testing.T, f logic.Formula, want Status) Result {
 	t.Helper()
-	r := Solve(f)
+	r := SolveCtx(context.Background(), f, Limits{})
 	if r.Status != want {
-		t.Fatalf("Solve(%s) = %s, want %s (model %v)", f, r.Status, want, r.Model)
+		t.Fatalf("SolveCtx(%s) = %s, want %s (model %v)", f, r.Status, want, r.Model)
 	}
 	return r
 }
@@ -150,7 +151,7 @@ func TestSolveNonlinearAbstraction(t *testing.T) {
 	// x*y == 5 && x == 2 && y == 3 : abstraction says sat, validation
 	// fails; must NOT report sat.
 	h := logic.MkAnd(eq(mul(x, y), c(5)), eq(x, c(2)), eq(y, c(3)))
-	if got := Solve(h); got.Status == StatusSat {
+	if got := SolveCtx(context.Background(), h, Limits{}); got.Status == StatusSat {
 		t.Fatalf("invalid nonlinear formula reported sat with model %v", got.Model)
 	}
 }
@@ -165,7 +166,7 @@ func TestSolveDivMod(t *testing.T) {
 	// Nonconstant division is abstracted; a consistent assignment
 	// validates.
 	h := logic.MkAnd(eq(x, c(6)), eq(logic.Bin{Op: logic.OpDiv, X: x, Y: c(2)}, c(3)))
-	r := Solve(h)
+	r := SolveCtx(context.Background(), h, Limits{})
 	if r.Status == StatusUnsat {
 		t.Fatalf("x=6 && x/2=3 must not be unsat")
 	}
@@ -235,7 +236,7 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		r := Solve(f)
+		r := SolveCtx(context.Background(), f, Limits{})
 		if bruteSat && r.Status == StatusUnsat {
 			t.Errorf("formula %d (%s): brute force found a model but solver says unsat", i, f)
 		}

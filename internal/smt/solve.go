@@ -53,15 +53,8 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Solve decides satisfiability of f over the integers.
-func Solve(f logic.Formula) Result { return SolveWithLimits(f, Limits{}) }
-
-// SolveWithLimits decides satisfiability of f under explicit limits.
-func SolveWithLimits(f logic.Formula, lim Limits) Result {
-	return SolveCtx(context.Background(), f, lim)
-}
-
-// SolveCtx decides satisfiability of f under ctx and explicit limits.
+// SolveCtx decides satisfiability of f over the integers under ctx and
+// explicit limits (the zero Limits applies the defaults).
 // Cancellation or an expired deadline (from ctx or lim.Deadline,
 // whichever comes first) yields StatusUnknown — the solver never
 // hangs past the deadline by more than one theory-leaf check, and

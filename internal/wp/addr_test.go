@@ -1,6 +1,7 @@
 package wp_test
 
 import (
+	"context"
 	"testing"
 
 	"pathslice/internal/alias"
@@ -55,7 +56,7 @@ func TestDecodeInitialStateDefaults(t *testing.T) {
 	enc := wp.NewTraceEncoder(prog, al, addrs)
 	path := cfa.FindPathToError(prog, cfa.FindOptions{})
 	f := enc.EncodeTrace(path.Ops())
-	r := smt.Solve(f)
+	r := smt.SolveCtx(context.Background(), f, smt.Limits{})
 	if r.Status != smt.StatusSat {
 		t.Fatalf("status: %s", r.Status)
 	}
@@ -104,8 +105,8 @@ func TestWPTraceHavocOnAmbiguousStore(t *testing.T) {
 	addrs := wp.NewAddrMap(prog)
 	path := cfa.FindPathToError(prog, cfa.FindOptions{})
 	enc := wp.NewTraceEncoder(prog, al, addrs)
-	precise := smt.Solve(enc.EncodeTrace(path.Ops()))
-	havoc := smt.Solve(wp.WPTrace(logic.True, path.Ops(), al, addrs))
+	precise := smt.SolveCtx(context.Background(), enc.EncodeTrace(path.Ops()), smt.Limits{})
+	havoc := smt.SolveCtx(context.Background(), wp.WPTrace(logic.True, path.Ops(), al, addrs), smt.Limits{})
 	if precise.Status == smt.StatusSat && havoc.Status == smt.StatusUnsat {
 		t.Fatal("havoc WP must over-approximate the precise encoding")
 	}
@@ -124,7 +125,7 @@ func TestNotAsValueEncoding(t *testing.T) {
 	addrs := wp.NewAddrMap(prog)
 	path := cfa.FindPathToError(prog, cfa.FindOptions{})
 	enc := wp.NewTraceEncoder(prog, al, addrs)
-	if r := smt.Solve(enc.EncodeTrace(path.Ops())); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), enc.EncodeTrace(path.Ops()), smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("!0 == 1: %s", r.Status)
 	}
 	prog2 := compile.MustSource(`
@@ -138,7 +139,7 @@ func TestNotAsValueEncoding(t *testing.T) {
 	addrs2 := wp.NewAddrMap(prog2)
 	path2 := cfa.FindPathToError(prog2, cfa.FindOptions{})
 	enc2 := wp.NewTraceEncoder(prog2, al2, addrs2)
-	if r := smt.Solve(enc2.EncodeTrace(path2.Ops())); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), enc2.EncodeTrace(path2.Ops()), smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("!7 == 0, not 1: %s", r.Status)
 	}
 }
@@ -158,7 +159,7 @@ func TestDivModInTraces(t *testing.T) {
 	addrs := wp.NewAddrMap(prog)
 	path := cfa.FindPathToError(prog, cfa.FindOptions{})
 	enc := wp.NewTraceEncoder(prog, al, addrs)
-	r := smt.Solve(enc.EncodeTrace(path.Ops()))
+	r := smt.SolveCtx(context.Background(), enc.EncodeTrace(path.Ops()), smt.Limits{})
 	if r.Status == smt.StatusUnsat {
 		t.Fatalf("17/5 = 3 rem 2; trace must not be unsat")
 	}

@@ -11,6 +11,7 @@ package wp_test
 // wrong".
 
 import (
+	"context"
 	"testing"
 
 	"pathslice/internal/cfa"
@@ -107,8 +108,8 @@ func TestAliasedWriteEncodingGolden(t *testing.T) {
 
 			// Both directions must agree on feasibility (here: Sat —
 			// every case's trace is concretely executable).
-			rf := smt.Solve(logic.MkAnd(fwdAll...))
-			rb := smt.Solve(logic.MkAnd(bwdAll...))
+			rf := smt.SolveCtx(context.Background(), logic.MkAnd(fwdAll...), smt.Limits{})
+			rb := smt.SolveCtx(context.Background(), logic.MkAnd(bwdAll...), smt.Limits{})
 			if rf.Status != smt.StatusSat || rb.Status != smt.StatusSat {
 				t.Errorf("feasible trace: forward %v, backward %v, want sat/sat", rf.Status, rb.Status)
 			}
@@ -132,7 +133,7 @@ func TestAliasedWriteInfeasibleBothDirections(t *testing.T) {
 	ops := path.Ops()
 
 	fwd := wp.NewTraceEncoder(prog, al, addrs)
-	if r := smt.Solve(fwd.EncodeTrace(ops)); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), fwd.EncodeTrace(ops), smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Errorf("forward: overwritten guard value should be unsat, got %v", r.Status)
 	}
 	bwd := wp.NewTraceEncoder(prog, al, addrs)
@@ -140,7 +141,7 @@ func TestAliasedWriteInfeasibleBothDirections(t *testing.T) {
 	for i := len(ops) - 1; i >= 0; i-- {
 		fs = append(fs, bwd.EncodeOpBackward(ops[i]))
 	}
-	if r := smt.Solve(logic.MkAnd(fs...)); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), logic.MkAnd(fs...), smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Errorf("backward: overwritten guard value should be unsat, got %v", r.Status)
 	}
 }

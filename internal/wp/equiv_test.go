@@ -1,6 +1,7 @@
 package wp_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -66,8 +67,8 @@ func TestWPTraceEquisatisfiableWithEncoder(t *testing.T) {
 		al := alias.Analyze(prog)
 		addrs := wp.NewAddrMap(prog)
 		enc := wp.NewTraceEncoder(prog, al, addrs)
-		forward := smt.Solve(enc.EncodeTrace(path.Ops()))
-		backward := smt.Solve(wp.WPTrace(logic.True, path.Ops(), al, addrs))
+		forward := smt.SolveCtx(context.Background(), enc.EncodeTrace(path.Ops()), smt.Limits{})
+		backward := smt.SolveCtx(context.Background(), wp.WPTrace(logic.True, path.Ops(), al, addrs), smt.Limits{})
 		if forward.Status != backward.Status {
 			t.Fatalf("encoder %s vs WPTrace %s\n%s\npath:\n%s",
 				forward.Status, backward.Status, src, path)

@@ -1,6 +1,7 @@
 package wp_test
 
 import (
+	"context"
 	"testing"
 
 	"pathslice/internal/alias"
@@ -45,7 +46,7 @@ func TestFeasibleStraightTrace(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	enc, f := encodePath(prog, al, addrs, p)
-	r := smt.Solve(f)
+	r := smt.SolveCtx(context.Background(), f, smt.Limits{})
 	if r.Status != smt.StatusSat {
 		t.Fatalf("trace should be feasible: %s\n%s", r.Status, f)
 	}
@@ -81,7 +82,7 @@ func TestInfeasibleTrace(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("trace must be infeasible: %s\n%s", r.Status, f)
 	}
 }
@@ -97,7 +98,7 @@ func TestLoopUnrollingInfeasibility(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("want unsat (i can only be 4 at loop exit): %s", r.Status)
 	}
 }
@@ -112,7 +113,7 @@ func TestSSAVersioning(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("x goes 1 -> 2; trace feasible: %s\n%s", r.Status, f)
 	}
 	// Target the wrong final value.
@@ -126,7 +127,7 @@ func TestSSAVersioning(t *testing.T) {
 	p2 := pathToError(t, prog2, false)
 	enc2 := wp.NewTraceEncoder(prog2, al2, addrs2)
 	f2 := enc2.EncodeTrace(p2.Ops())
-	if r := smt.Solve(f2); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), f2, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("want unsat: %s", r.Status)
 	}
 }
@@ -141,7 +142,7 @@ func TestPointerStoreSingleTarget(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("store through singleton pointer: %s\n%s", r.Status, f)
 	}
 }
@@ -159,7 +160,7 @@ func TestPointerStoreMultiTarget(t *testing.T) {
 	// Path through the then branch (p = &x) must be feasible.
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	r := smt.Solve(f)
+	r := smt.SolveCtx(context.Background(), f, smt.Limits{})
 	if r.Status == smt.StatusUnsat {
 		t.Fatalf("some branch direction must make the trace feasible:\n%s", f)
 	}
@@ -176,7 +177,7 @@ func TestPointerStoreWrongTargetInfeasible(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("store hits y, not x: want unsat, got %s\n%s", r.Status, f)
 	}
 }
@@ -192,7 +193,7 @@ func TestDerefReadGuards(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("read through pointer: %s\n%s", r.Status, f)
 	}
 }
@@ -209,7 +210,7 @@ func TestNullDerefInfeasible(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("null deref cannot execute: want unsat, got %s", r.Status)
 	}
 }
@@ -224,7 +225,7 @@ func TestCallsAreIdentity(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("call protocol feasible: %s\n%s", r.Status, f)
 	}
 }
@@ -240,7 +241,7 @@ func TestBooleanValueEncoding(t *testing.T) {
 		}`)
 	p := pathToError(t, prog, false)
 	_, f := encodePath(prog, al, addrs, p)
-	if r := smt.Solve(f); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), f, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("boolean value: %s\n%s", r.Status, f)
 	}
 }
@@ -270,7 +271,7 @@ func TestEncoderAgainstInterpreter(t *testing.T) {
 			continue
 		}
 		enc, f := encodePath(prog, al, addrs, p)
-		r := smt.Solve(f)
+		r := smt.SolveCtx(context.Background(), f, smt.Limits{})
 		switch r.Status {
 		case smt.StatusSat:
 			st := interp.NewState(prog, addrs)
@@ -320,16 +321,16 @@ func TestWPOpFig3(t *testing.T) {
 	yEq := func(k int64) logic.Formula {
 		return logic.Cmp{Op: logic.CmpEq, X: logic.Var{Name: "y"}, Y: logic.Const{V: k}}
 	}
-	if r := smt.Solve(logic.MkAnd(got, yEq(2))); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), logic.MkAnd(got, yEq(2)), smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("WP %s: y=2 should satisfy", got)
 	}
-	if r := smt.Solve(logic.MkAnd(got, yEq(5))); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), logic.MkAnd(got, yEq(5)), smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("WP %s: y=5 must not satisfy", got)
 	}
 	// WP over assume: conjunction (WP(φ, assume p) = φ ∧ p).
 	assumeOp := opByString(t, prog, "main", "assume((x > 0))")
 	got2 := wp.WPOp(phi, assumeOp, al, addrs, &fresh)
-	r := smt.Solve(got2)
+	r := smt.SolveCtx(context.Background(), got2, smt.Limits{})
 	if r.Status != smt.StatusSat || r.Model["x"] != 3 {
 		t.Fatalf("WP over assume: %s, model %v", got2, r.Model)
 	}
@@ -357,7 +358,7 @@ func TestWPTraceMatchesEncoder(t *testing.T) {
 	prog, al, addrs := setup(t, src)
 	p := pathToError(t, prog, false)
 	phi := wp.WPTrace(logic.True, p.Ops(), al, addrs)
-	if r := smt.Solve(phi); r.Status != smt.StatusSat {
+	if r := smt.SolveCtx(context.Background(), phi, smt.Limits{}); r.Status != smt.StatusSat {
 		t.Fatalf("WP.true over feasible trace must be sat: %s (%s)", r.Status, phi)
 	}
 	// Make it infeasible.
@@ -371,7 +372,7 @@ func TestWPTraceMatchesEncoder(t *testing.T) {
 	prog2, al2, addrs2 := setup(t, src2)
 	p2 := pathToError(t, prog2, false)
 	phi2 := wp.WPTrace(logic.True, p2.Ops(), al2, addrs2)
-	if r := smt.Solve(phi2); r.Status != smt.StatusUnsat {
+	if r := smt.SolveCtx(context.Background(), phi2, smt.Limits{}); r.Status != smt.StatusUnsat {
 		t.Fatalf("WP.true over infeasible trace must be unsat: %s (%s)", r.Status, phi2)
 	}
 }
