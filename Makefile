@@ -9,7 +9,7 @@ GO ?= go
 
 RACE_PKGS = ./internal/cegar/ ./internal/cfa/ ./internal/client/ ./internal/core/ ./internal/dataflow/ ./internal/faults/ ./internal/interp/ ./internal/logic/ ./internal/obs/ ./internal/oracle/ ./internal/service/ ./internal/smt/
 
-.PHONY: check build vet test race fuzz oracle docs-check serve-smoke chaos-smoke bench bench-json bench-diff farm experiments
+.PHONY: check build vet test race fuzz oracle docs-check serve-smoke chaos-smoke bench bench-json bench-diff farm experiments loc
 
 check: build vet test race fuzz oracle docs-check serve-smoke chaos-smoke bench-diff farm
 
@@ -98,3 +98,8 @@ farm:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Non-test Go lines of code, excluding the perfbench/ benchmark module:
+# the size figure simplification changes quote before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l

@@ -9,7 +9,7 @@
 //	          [-trace-out f] [-metrics-addr a] [-v] file.mc
 //
 // -conc-trace slices a recorded multi-threaded PSTRC02 interleaving of
-// file.mc with the two-phase concurrent walk (docs/CONCURRENCY.md)
+// file.mc with the racy-edge slicer walk (docs/CONCURRENCY.md)
 // instead of searching the CFA for a candidate path.
 //
 // The candidate path is found by a data-free graph search (the kind of
@@ -218,7 +218,7 @@ func main() {
 }
 
 // runConcTrace slices one recorded multi-threaded trace with the
-// two-phase concurrent walk and reports the racy-edge structure plus
+// racy-edge slicer walk and reports the racy-edge structure plus
 // the recorded interleaving's feasibility verdict.
 func runConcTrace(slicer *core.Slicer, prog *cfa.Program, file string, deadline time.Duration, verbose bool, feasible, undecided *int) {
 	tr, err := cfa.ReadConcTraceFile(file, prog)

@@ -97,7 +97,7 @@ type ConcComparison struct {
 	ThreadedWalked int     `json:"threaded_walked"`
 	SerialWalked   int     `json:"serial_walked"`
 	WalkRatio      float64 `json:"walk_ratio"`
-	// The inter-thread phase's shape, sanity-gated nonzero so the
+	// The racy-edge pre-pass's shape, sanity-gated nonzero so the
 	// comparison cannot silently degenerate to one thread.
 	Threads    int `json:"threads"`
 	RacyEdges  int `json:"racy_edges"`

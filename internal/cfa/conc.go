@@ -9,7 +9,7 @@
 // at the spawned callee's entry (or wherever main starts for thread 0),
 // so all of the §3/§4 per-path machinery applies thread-locally; the
 // cross-thread structure (spawn ordering, join barriers, conflicting
-// accesses) is what the concurrent slicer's inter-thread phase
+// accesses) is what the concurrent slicer's racy-edge pre-pass
 // consumes.
 //
 // On-disk, version 2 of the trace format extends PSTRC01 with a thread

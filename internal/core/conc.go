@@ -1,31 +1,32 @@
-// Concurrent path slicing: the two-phase walk over interleaved
-// multi-threaded traces (docs/CONCURRENCY.md).
+// Concurrent path slicing over interleaved multi-threaded traces
+// (docs/CONCURRENCY.md): a pre-pass, then the backward walker of
+// slicer.go with per-thread live sets, step locations and skip floors.
 //
-// Phase 1 (inter-thread) computes the happens-before "racy edges" of
-// the trace: conflicting cross-thread accesses to the same storage
-// (at least one a write, linked to the immediately preceding
-// conflicting access per location, so lock-induced ordering arrives
-// for free through the lock shadow variables of internal/instrument)
-// plus the spawn/join synchronization edges. The racy-edge endpoints
-// split the total order into instruction regions — maximal runs in
-// which slicing is a purely thread-local matter.
+// The pre-pass computes the happens-before "racy edges" of the trace:
+// conflicting cross-thread accesses to the same storage (at least one
+// a write, linked to the immediately preceding conflicting access per
+// location, so lock-induced ordering arrives for free through the lock
+// shadow variables of internal/instrument) plus the spawn/join
+// synchronization edges. The racy-edge endpoints split the total order
+// into instruction regions — maximal runs in which slicing is a purely
+// thread-local matter. It also builds each thread's §4 call structure
+// and the lookups the walker's cross-thread rules read (threads).
 //
-// Phase 2 runs the paper's backward walk per thread over the shared
-// total order, newest event first: each thread carries its own live
-// set and step location, and every Take decision is the sequential
-// predicate (core.take) against the thread-local state. The racy
-// edges are load-bearing: at the source of a write→read racy edge the
-// walk asks whether the written variable is live in the reading
-// thread, and if so forces the write into the slice exactly like a
-// same-thread demand would. The transfer is per-variable, not a
-// whole-live-set union: a write's cross-thread relevance is precisely
-// "some reader still needs this location", and keeping the query that
-// narrow makes every Take decision a function of the conflict partial
-// order alone — reordering two adjacent events with no racy edge
-// between them provably cannot change any decision, which is the
-// commute invariant the oracle checks (internal/oracle). Kills stay
-// thread-local (a cross-thread kill would be unsound), so concurrent
-// slices are conservative supersets.
+// The walk runs over the shared total order, newest event first, and
+// every Take decision is the sequential predicate (core.take) against
+// the deciding thread's own state. The racy edges are load-bearing: at
+// the source of a write→read racy edge the walk asks whether the
+// written variable is live in the reading thread, and if so forces the
+// write into the slice exactly like a same-thread demand would. The
+// transfer is per-variable, not a whole-live-set union: a write's
+// cross-thread relevance is precisely "some reader still needs this
+// location", and keeping the query that narrow makes every Take
+// decision a function of the conflict partial order alone — reordering
+// two adjacent events with no racy edge between them provably cannot
+// change any decision, which is the commute invariant the oracle
+// checks (internal/oracle). Kills stay thread-local (a cross-thread
+// kill would be unsound), so concurrent slices are conservative
+// supersets.
 //
 // Frame skipping at untaken returns survives for frames that are
 // conflict-free — no write→read racy edge leaves the frame with its
@@ -38,19 +39,18 @@
 // entire irrelevant threads.
 //
 // The §4.2 optimizations (EarlyUnsatStop, SkipFunctions), frame
-// summaries, and streaming apply only to sequential traces and are
-// ignored here: an unsat verdict under the recorded interleaving
-// would not prove all feasible interleavings unsat, and summary
-// contexts are not stable under cross-thread merges.
+// summaries, RecordTrace and streaming apply only to sequential paths
+// and are off for a concurrent trace: an unsat verdict under the
+// recorded interleaving would not prove all feasible interleavings
+// unsat, and summary contexts are not stable under cross-thread
+// merges.
 
 package core
 
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"pathslice/internal/alias"
 	"pathslice/internal/cfa"
 	"pathslice/internal/obs"
 	"pathslice/internal/smt"
@@ -104,7 +104,7 @@ type RacyEdge struct {
 	Kind     RacyKind
 }
 
-// ConcStats extends Stats with the inter-thread phase's measures.
+// ConcStats extends Stats with the pre-pass's measures.
 type ConcStats struct {
 	Stats
 	Threads   int
@@ -125,7 +125,7 @@ type ConcResult struct {
 	// walk stopped: the lvalues whose initial values the slice depends
 	// on.
 	Live cfa.LvalSet
-	// Racy holds the phase-1 racy edges of the input trace.
+	// Racy holds the pre-pass's racy edges of the input trace.
 	Racy []RacyEdge
 	// Degraded mirrors Result.Degraded: a deadline or unanswerable
 	// relevance query forced conservative keeps.
@@ -151,7 +151,7 @@ func (s *Slicer) eventAccess(op cfa.Op) (reads, writes []string) {
 	return reads, writes
 }
 
-// RacyEdges runs phase 1: the happens-before edges of the trace.
+// RacyEdges computes the happens-before edges of the trace.
 // Conflicting-access edges link each access to the immediately
 // preceding cross-thread conflicting access per concrete variable;
 // sync edges tie each spawn to its child's first event and each
@@ -230,220 +230,141 @@ func concRegions(n int, edges []RacyEdge) int {
 	return 1 + len(breaks)
 }
 
-// ConcSlice runs the two-phase concurrent walk over a validated trace.
+// ConcSlice slices a validated concurrent trace.
 func (s *Slicer) ConcSlice(tr cfa.ConcTrace) (*ConcResult, error) {
 	return s.ConcSliceCtx(context.Background(), tr)
 }
 
 // ConcSliceCtx is ConcSlice under a context. Expiry mid-walk keeps
 // every unexamined event — a sound, degraded superset, as in SliceCtx.
-func (s *Slicer) ConcSliceCtx(ctx context.Context, tr cfa.ConcTrace) (res *ConcResult, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (s *Slicer) ConcSliceCtx(ctx context.Context, tr cfa.ConcTrace) (*ConcResult, error) {
 	if verr := tr.Validate(s.Prog); verr != nil {
 		return nil, fmt.Errorf("core: %w", verr)
 	}
-	sp := obs.StartSpan(obs.PhasePathSlice)
-	start := time.Now()
-	defer func() {
-		mSliceNS.ObserveDuration(time.Since(start))
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			mRecoveredPanics.Inc()
-			res, err = nil, fmt.Errorf("core: panic during concurrent slicing: %v", r)
+	th := &threads{tr: tr}
+	res, err := s.SliceSource(ctx, th)
+	if err != nil {
+		return nil, err
+	}
+	cr := &ConcResult{
+		Taken:    res.Taken,
+		Live:     res.Live,
+		Racy:     th.racy,
+		Degraded: res.Degraded,
+		Stats: ConcStats{
+			Stats:          res.Stats,
+			Threads:        th.nt,
+			RacyEdges:      len(th.racy),
+			Regions:        th.regions,
+			SkippedThreads: th.skipped,
+		},
+	}
+	for i, tk := range res.Taken {
+		if tk {
+			cr.Slice = append(cr.Slice, tr[i])
 		}
-	}()
-	w := &concWalker{s: s, tr: tr}
-	return w.run(ctx)
+	}
+	mConcSlices.Inc()
+	mRacyEdges.Add(int64(cr.Stats.RacyEdges))
+	mRegions.Add(int64(cr.Stats.Regions))
+	return cr, nil
 }
 
-// concWalker is the state of one concurrent backward pass.
-type concWalker struct {
-	s  *Slicer
+// threads is the pre-pass over a concurrent trace, and the walk's
+// PathSource: the total order, with the §4 call structure per thread.
+// prepass fills it in; skipped counts the threads the walk dropped.
+type threads struct {
 	tr cfa.ConcTrace
-
-	res      *ConcResult
-	tidx     [][]int // thread -> trace positions, in order
-	localIdx []int   // trace position -> index within its thread
-	callIdx  [][]int // per thread: local §4 call structure
-	// threadOps[t][k] counts spawn/join ops among thread t's first k
-	// local events, for O(1) "does this frame contain thread ops" tests.
-	threadOps [][]int
-
-	live      []cfa.LvalSet
-	pcStep    []*cfa.Loc
-	dropUntil []int // per thread: local index floor of a committed skip, -1 none
-
-	// wrFrom[pos] lists the write→read racy edges whose source is pos.
+	nt int // thread count
+	// call[i] is the position of the call edge that opens event i's
+	// frame in its own thread, or -1 in the thread's outermost frame.
+	call []int
+	// pins[i] counts the events of i's thread before position i that a
+	// frame skip must keep: spawns, joins, and write→read racy-edge
+	// sources (another thread reads their write).
+	pins []int
+	// wrFrom[i] lists the write→read racy edges whose source is i.
 	wrFrom map[int][]RacyEdge
-	// spawnChild[pos] is the thread created by the spawn event at pos.
-	spawnChild map[int]int
-	// stale supports UnsoundStaleThreadLiveSet: the first demand query
-	// against thread u snapshots u's live set; later queries reuse it.
-	stale map[int]cfa.LvalSet
+	// child[i] is the thread created by the spawn event at i.
+	child   map[int]int
+	racy    []RacyEdge
+	regions int
+	skipped int
 }
 
-func (w *concWalker) run(ctx context.Context) (*ConcResult, error) {
-	s, tr := w.s, w.tr
-	n := len(tr)
-	nt := tr.NumThreads()
+func (th *threads) Len() int             { return len(th.tr) }
+func (th *threads) Edge(i int) *cfa.Edge { return th.tr[i].Edge }
+func (th *threads) CallIdx(i int) int    { return th.call[i] }
+func (th *threads) Err() error           { return nil }
 
-	w.res = &ConcResult{Taken: make([]bool, n), Live: cfa.NewLvalSet()}
-	w.res.Stats.InputEdges = n
-	w.res.Stats.Threads = nt
-
-	w.tidx = tr.ThreadIndex()
-	w.localIdx = make([]int, n)
-	w.callIdx = make([][]int, nt)
-	w.threadOps = make([][]int, nt)
-	for t, idxs := range w.tidx {
-		p := make(cfa.Path, len(idxs))
-		ops := make([]int, len(idxs)+1)
-		for k, pos := range idxs {
-			w.localIdx[pos] = k
-			p[k] = tr[pos].Edge
-			ops[k+1] = ops[k]
-			if kd := p[k].Op.Kind; kd == cfa.OpSpawn || kd == cfa.OpJoin {
-				ops[k+1]++
-			}
-		}
-		if len(p) > 0 {
-			w.callIdx[t] = p.CallIdx()
-		}
-		w.threadOps[t] = ops
-		w.res.Stats.InputBlocks += p.BasicBlocks()
-	}
-
-	// Phase 1: racy edges and regions.
-	w.res.Racy = s.RacyEdges(tr)
-	w.res.Stats.RacyEdges = len(w.res.Racy)
-	w.res.Stats.Regions = concRegions(n, w.res.Racy)
-
-	w.wrFrom = make(map[int][]RacyEdge)
+// prepass fills in th for its trace, under its own span.
+func (s *Slicer) prepass(th *threads) {
+	sp := obs.StartSpan(obs.PhaseRacy)
+	defer sp.End()
+	tr := th.tr
+	tidx := tr.ThreadIndex()
+	th.nt = len(tidx)
+	th.call, th.pins = make([]int, len(tr)), make([]int, len(tr))
+	th.wrFrom, th.child = make(map[int][]RacyEdge), make(map[int]int)
+	th.racy = s.RacyEdges(tr)
+	th.regions = concRegions(len(tr), th.racy)
 	if s.Opts.Unsound != UnsoundDropRacyEdges {
-		for _, re := range w.res.Racy {
+		for _, re := range th.racy {
 			if re.Kind == RacyWriteRead {
-				w.wrFrom[re.From] = append(w.wrFrom[re.From], re)
+				th.wrFrom[re.From] = append(th.wrFrom[re.From], re)
 			}
 		}
 	}
-	w.spawnChild = make(map[int]int)
 	spawns := 0
 	for i, ev := range tr {
 		if ev.Edge.Op.Kind == cfa.OpSpawn {
 			spawns++
-			w.spawnChild[i] = spawns
+			th.child[i] = spawns
 		}
 	}
+	for _, idxs := range tidx {
+		p := make(cfa.Path, len(idxs))
+		for k, pos := range idxs {
+			p[k] = tr[pos].Edge
+		}
+		pins := 0
+		for k, c := range p.CallIdx() {
+			pos := idxs[k]
+			th.call[pos] = -1
+			if c >= 0 {
+				th.call[pos] = idxs[c]
+			}
+			th.pins[pos] = pins
+			if kd := p[k].Op.Kind; kd == cfa.OpSpawn || kd == cfa.OpJoin || len(th.wrFrom[pos]) > 0 {
+				pins++
+			}
+		}
+	}
+}
 
-	w.live = make([]cfa.LvalSet, nt)
-	w.pcStep = make([]*cfa.Loc, nt)
-	w.dropUntil = make([]int, nt)
-	for t := 0; t < nt; t++ {
-		w.live[t] = cfa.NewLvalSet()
-		w.dropUntil[t] = -1
+// thread returns the thread of position i: 0 on a sequential source
+// (nil pre-pass).
+func (th *threads) thread(i int) int {
+	if th == nil {
+		return 0
 	}
-	w.stale = make(map[int]cfa.LvalSet)
+	return th.tr[i].TID
+}
 
-	// Phase 2: the backward walk over the total order.
-	for i := n - 1; i >= 0; i-- {
-		if ctx.Err() != nil {
-			for j := i; j >= 0; j-- {
-				if !w.res.Taken[j] {
-					w.res.Taken[j] = true
-					w.countTaken(tr[j].Edge.Op.Kind)
-				}
-			}
-			w.res.Degraded = true
-			break
-		}
-		ev := tr[i]
-		t, li := ev.TID, w.localIdx[i]
-		if w.dropUntil[t] >= 0 {
-			// Inside a committed frame or thread skip.
-			if li == w.dropUntil[t] {
-				w.dropUntil[t] = -1
-			}
-			continue
-		}
-		if w.pcStep[t] == nil {
-			w.pcStep[t] = ev.Edge.Dst
-		}
-		w.res.Stats.WalkedEdges++
-		e, op := ev.Edge, ev.Edge.Op
-
-		taken, degraded := false, false
-		switch op.Kind {
-		case cfa.OpSpawn:
-			// The spawned child's residual demands flow into the spawner:
-			// whatever the child's walk still needs at its creation point
-			// must be preserved by the parent's earlier writes.
-			if c, ok := w.spawnChild[i]; ok && c < len(w.live) {
-				w.live[t].AddAll(w.live[c])
-			}
-			taken = true
-		case cfa.OpJoin, cfa.OpCall:
-			taken = true
-		case cfa.OpReturn:
-			taken = w.takeReturn(i, t, li)
-		default:
-			if w.crossDemand(i) {
-				taken = true
-			} else {
-				taken, degraded = s.take(op, e, w.live[t], w.pcStep[t])
-			}
-		}
-		if degraded {
-			w.res.Degraded = true
-		}
-		if taken {
-			w.res.Taken[i] = true
-			w.countTaken(op.Kind)
-			w.takeLiveThread(t, op)
-			w.pcStep[t] = e.Src
-			continue
-		}
-		if op.Kind == cfa.OpReturn {
-			// Commit the skip: to the call edge for an inner frame, or
-			// the whole thread for an outermost return.
-			if c := w.callIdx[t][li]; c >= 0 {
-				w.dropUntil[t] = c
-				w.res.Stats.SkippedFrames++
-			} else {
-				w.dropUntil[t] = 0
-				w.res.Stats.SkippedThreads++
-			}
-		}
+// pinned reports whether the frame closed by the return at i (for an
+// outermost return, the thread up to i) holds an event a skip must
+// keep. The test is existence, not current demand: a reader below the
+// return has not been walked yet, and existence depends on the
+// conflict structure alone, which keeps the skip commute-invariant. A
+// pinned frame is walked event by event, each source answering the
+// precise demand query at its own position. The return itself is
+// never pinned, so the count before i covers the frame.
+func (th *threads) pinned(i int) bool {
+	base := 0
+	if lo := th.call[i]; lo >= 0 {
+		base = th.pins[lo]
 	}
-
-	for t := 0; t < nt; t++ {
-		w.res.Live.AddAll(w.live[t])
-	}
-	for i, tk := range w.res.Taken {
-		if tk {
-			w.res.Slice = append(w.res.Slice, tr[i])
-		}
-	}
-	w.res.Stats.SliceEdges = len(w.res.Slice)
-	for t := 0; t < tr.NumThreads(); t++ {
-		w.res.Stats.SliceBlocks += w.res.Slice.ThreadPath(t).BasicBlocks()
-	}
-	mConcSlices.Inc()
-	mSlices.Inc()
-	mInputEdges.Add(int64(n))
-	mSliceEdges.Add(int64(w.res.Stats.SliceEdges))
-	mRacyEdges.Add(int64(w.res.Stats.RacyEdges))
-	mRegions.Add(int64(w.res.Stats.Regions))
-	if n > 0 {
-		mRatioPercent.Observe(int64(100 * w.res.Stats.Ratio()))
-	}
-	if w.res.Degraded {
-		mDegraded.Inc()
-	}
-	return w.res, nil
+	return th.pins[i] > base
 }
 
 // crossDemand reports whether the event at trace position i — the
@@ -455,11 +376,11 @@ func (w *concWalker) run(ctx context.Context) (*ConcResult, error) {
 // on where unrelated events happen to sit in the total order. Under
 // UnsoundStaleThreadLiveSet the query runs against the snapshot taken
 // at the first query of each thread — the planted staleness bug.
-func (w *concWalker) crossDemand(i int) bool {
-	for _, re := range w.wrFrom[i] {
-		u := w.tr[re.To].TID
+func (w *walker) crossDemand(i int) bool {
+	for _, re := range w.th.wrFrom[i] {
+		u := w.th.tr[re.To].TID
 		set := w.live[u]
-		if w.s.Opts.Unsound == UnsoundStaleThreadLiveSet {
+		if w.opts.Unsound == UnsoundStaleThreadLiveSet {
 			snap, ok := w.stale[u]
 			if !ok {
 				snap = w.live[u].Copy()
@@ -467,98 +388,13 @@ func (w *concWalker) crossDemand(i int) bool {
 			}
 			set = snap
 		}
-		if demandsVar(set, re.Var, w.s.Alias) {
-			return true
-		}
-	}
-	return false
-}
-
-// demandsVar reports whether a live set demands the concrete variable
-// v, looking through pointer lvalues via the points-to sets.
-func demandsVar(live cfa.LvalSet, v string, al *alias.Info) bool {
-	for l := range live {
-		if !l.Deref {
-			if l.Var == v {
-				return true
-			}
-			continue
-		}
-		for _, p := range al.Pts(l.Var) {
-			if p == v {
+		for l := range set {
+			if w.s.Alias.MayAlias(cfa.Lvalue{Var: re.Var}, l) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// takeReturn decides a return edge: keep it when the returning frame
-// (or, for an outermost return, the whole thread) may write anything
-// its own thread finds live, when any frame event sources a write→read
-// racy edge, or when the frame contains spawn/join events that the
-// slice must preserve. The racy test is pure edge existence, not
-// current demand: a reading event below the return has not been walked
-// yet, so its demand is unknowable at commit time, and existence is a
-// property of the conflict structure alone — the same trace reordered
-// across non-conflicting pairs has the same sourced-edge sets, which
-// keeps the skip decision commute-invariant. A frame with an outgoing
-// edge is simply walked event by event; each source then answers the
-// precise per-variable demand query at its own position, where every
-// later event has been processed.
-func (w *concWalker) takeReturn(i, t, li int) bool {
-	if w.s.Opts.Unsound == UnsoundSkipCallees {
-		return false
-	}
-	if w.s.Mods.ModsAny(w.tr[i].Edge.Src.Fn.Name, w.live[t]) {
-		return true
-	}
-	lo := w.callIdx[t][li] // -1 for an outermost return: drop to local 0
-	if lo < 0 {
-		lo = 0
-	}
-	// The range must not swallow spawn/join events.
-	if w.threadOps[t][li+1]-w.threadOps[t][lo] > 0 {
-		return true
-	}
-	// No dropped event may source a write→read edge: another thread
-	// reads one of the frame's writes, so the skip could lose it.
-	for k := lo; k <= li; k++ {
-		if len(w.wrFrom[w.tidx[t][k]]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// takeLiveThread is takeLive against thread t's live set: kills are
-// thread-local (a cross-thread kill would be unsound), reads are added.
-func (w *concWalker) takeLiveThread(t int, op cfa.Op) {
-	if op.Kind == cfa.OpAssign {
-		for _, l := range w.s.Alias.MustWritten(op.LHS) {
-			w.live[t].Remove(l)
-		}
-	}
-	w.live[t].AddAll(op.Rd())
-}
-
-// countTaken charges one kept event to its per-kind counter.
-func (w *concWalker) countTaken(k cfa.OpKind) {
-	st := &w.res.Stats
-	switch k {
-	case cfa.OpAssign:
-		st.TakenAssign++
-	case cfa.OpAssume:
-		st.TakenAssume++
-	case cfa.OpCall:
-		st.TakenCall++
-	case cfa.OpReturn:
-		st.TakenReturn++
-	case cfa.OpSpawn:
-		st.TakenSpawn++
-	case cfa.OpJoin:
-		st.TakenJoin++
-	}
 }
 
 // CheckConcFeasibility asks the decision procedure about a concurrent
@@ -576,9 +412,5 @@ func (s *Slicer) CheckConcFeasibility(tr cfa.ConcTrace) (smt.Result, *wp.TraceEn
 // it is cancelled or times out the solve returns StatusUnknown — never
 // a wrong Sat or Unsat.
 func (s *Slicer) CheckConcFeasibilityCtx(ctx context.Context, tr cfa.ConcTrace) (smt.Result, *wp.TraceEncoder) {
-	sp := obs.StartSpan(obs.PhaseFeasibility)
-	defer sp.End()
-	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
-	f := enc.EncodeTrace(tr.Ops())
-	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
+	return s.checkOps(ctx, tr.Ops())
 }

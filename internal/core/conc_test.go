@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"pathslice/internal/compile"
 	"pathslice/internal/core"
 	"pathslice/internal/interp"
+	"pathslice/internal/obs"
 	"pathslice/internal/wp"
 )
 
@@ -229,7 +231,7 @@ func diffCorpus(t *testing.T) map[string]*cfa.Program {
 }
 
 // TestConcLiftDifferential is the PR's regression keystone: slicing a
-// lifted single-threaded trace through the concurrent walker must be
+// lifted single-threaded trace through ConcSlice must be
 // bit-identical to the sequential slicer — same taken bits, same live
 // set, same per-kind stats, same walked-edge and skipped-frame counts.
 func TestConcLiftDifferential(t *testing.T) {
@@ -371,6 +373,39 @@ func TestConcSliceSharedSlicer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcSliceTracesRacyPhase: a traced ConcSlice attributes its
+// racy-edge pre-pass to the racy span, which the phase table lists as
+// nested detail of pathslice; a sequential slice opens no racy span.
+func TestConcSliceTracesRacyPhase(t *testing.T) {
+	prog := compile.MustSource(concWriterJoined)
+	tr := concErrorTrace(t, prog, 50)
+	s := core.New(prog)
+	tracer := obs.NewTracer(nil)
+	obs.SetTracer(tracer)
+	defer obs.SetTracer(nil)
+	if _, err := s.ConcSlice(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Slice(cfa.FindPathToError(prog, cfa.FindOptions{})); err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]int64{}
+	for _, ps := range tracer.PhaseStats() {
+		calls[ps.Phase] = ps.Calls
+	}
+	if calls[obs.PhaseRacy] != 1 || calls[obs.PhasePathSlice] != 2 {
+		t.Fatalf("phase calls = %v, want racy 1 (the threaded slice only) and pathslice 2", calls)
+	}
+	var b strings.Builder
+	if err := tracer.WritePhaseTable(&b); err != nil {
+		t.Fatal(err)
+	}
+	table := b.String()
+	if d, r := strings.Index(table, "nested detail"), strings.Index(table, "\n"+obs.PhaseRacy+" "); d < 0 || r < d {
+		t.Fatalf("racy is not listed as nested detail:\n%s", table)
+	}
 }
 
 // TestConcSliceRejectsMalformed: validation runs before slicing.

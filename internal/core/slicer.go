@@ -18,8 +18,13 @@
 // irrelevant guard chains on deep call stacks — are available through
 // Options.
 //
+// One backward walker serves both sequential paths and interleaved
+// multi-threaded traces: it keeps its state per thread, and a trace's
+// racy-edge pre-pass (conc.go) supplies the cross-thread rules.
+//
 // Two scaling layers target the paper's Figure 6 regime (gcc-class
-// subjects: ~80k-block traces over ~2000 procedures):
+// subjects: ~80k-block traces over ~2000 procedures); both apply to
+// sequential paths only:
 //
 //   - Options.Summaries memoizes context-keyed callee frame summaries
 //     (package summ): the first walk of a (frame segment, projected
@@ -138,16 +143,16 @@ const (
 	// Only meaningful with Options.Summaries; the oracle campaign's
 	// summary-differential pillar must catch it.
 	UnsoundStaleSummaries
-	// UnsoundDropRacyEdges makes the concurrent walker (ConcSlice)
-	// ignore conflicting-access racy edges: no cross-thread live-set
-	// transfer happens, so a write in one thread that feeds a read in
-	// another is dropped from the slice. The concurrent oracle campaign
-	// must catch it. Sequential slicing is unaffected.
+	// UnsoundDropRacyEdges makes the walk over a concurrent trace
+	// (ConcSlice) ignore conflicting-access racy edges: no cross-thread
+	// live-set transfer happens, so a write in one thread that feeds a
+	// read in another is dropped from the slice. The concurrent oracle
+	// campaign must catch it. Sequential slicing is unaffected.
 	UnsoundDropRacyEdges
-	// UnsoundStaleThreadLiveSet makes the concurrent walker reuse the
-	// live-set snapshot captured at the first cross-thread merge from a
-	// given thread for every later merge from that thread, missing
-	// demands that accumulate as its backward walk proceeds. The
+	// UnsoundStaleThreadLiveSet makes the walk over a concurrent trace
+	// reuse the live-set snapshot captured at the first cross-thread
+	// merge from a given thread for every later merge from that thread,
+	// missing demands that accumulate as its backward walk proceeds. The
 	// concurrent oracle campaign must catch it. Sequential slicing is
 	// unaffected.
 	UnsoundStaleThreadLiveSet
@@ -327,7 +332,9 @@ func (s *Slicer) SliceStream(ctx context.Context, r *cfa.PathReader) (*Result, e
 
 // SliceSource runs the backward walk over any PathSource. The source
 // must be a valid program path (SliceCtx validates; cfa.OpenTraceFile
-// validates trace files at open).
+// validates trace files at open). ConcSliceCtx passes a concurrent
+// trace's threads view: its pre-pass runs here, and the sequential-only
+// features are off for it (conc.go).
 func (s *Slicer) SliceSource(ctx context.Context, src PathSource) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -344,12 +351,19 @@ func (s *Slicer) SliceSource(ctx context.Context, src PathSource) (res *Result, 
 			res, err = nil, fmt.Errorf("core: panic during slicing: %v", r)
 		}
 	}()
-	n := src.Len()
-	if n == 0 {
+	w := &walker{s: s, src: src, n: src.Len(), opts: s.Opts, summ: s.Summ}
+	if w.n == 0 {
 		return nil, fmt.Errorf("core: cfa: empty path")
 	}
-	w := &walker{s: s, src: src, n: n}
-	return w.run(ctx)
+	if th, ok := src.(*threads); ok {
+		s.prepass(th)
+		w.th, w.summ, w.stale = th, nil, make(map[int]cfa.LvalSet)
+		w.opts.EarlyUnsatStop, w.opts.SkipFunctions, w.opts.RecordTrace = false, false, false
+	}
+	if err := w.run(ctx); err != nil {
+		return nil, err
+	}
+	return w.res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -358,14 +372,23 @@ func (s *Slicer) SliceSource(ctx context.Context, src PathSource) (res *Result, 
 // walker is the state of one backward pass. It is built per slice call
 // and never shared, so a Slicer stays safe for concurrent use.
 type walker struct {
-	s   *Slicer
-	src PathSource
-	n   int
+	s    *Slicer
+	src  PathSource
+	th   *threads    // the concurrent pre-pass; nil for a sequential source
+	opts Options     // s.Opts, sequential-only features off for a trace
+	summ *summ.Table // frame-summary memo; nil when off
+	n    int
 
-	res    *Result
-	live   cfa.LvalSet
-	pcStep *cfa.Loc
-	i      int
+	res *Result
+	i   int
+	// Per-thread state: the live set, the step location (nil until the
+	// thread's newest event), and the frame-skip floor — the thread's
+	// events above position floor[t] lie inside a committed skip.
+	live   []cfa.LvalSet
+	pcStep []*cfa.Loc
+	floor  []int
+	// stale holds UnsoundStaleThreadLiveSet's per-thread snapshots.
+	stale map[int]cfa.LvalSet
 
 	// Early-unsat-stop state (Options.EarlyUnsatStop).
 	enc               *wp.TraceEncoder
@@ -394,22 +417,26 @@ type frameRec struct {
 	invalid           bool // a degraded query happened inside: do not store
 }
 
-func (w *walker) run(ctx context.Context) (*Result, error) {
+func (w *walker) run(ctx context.Context) error {
 	s := w.s
 	w.res = &Result{
 		Taken: make([]bool, w.n),
 		Live:  cfa.NewLvalSet(),
 	}
 	w.res.Stats.InputEdges = w.n
-	w.live = w.res.Live
-
-	last := w.src.Edge(w.n - 1)
-	if last == nil {
-		return nil, w.src.Err()
+	nt := 1
+	if w.th != nil {
+		nt = w.th.nt
 	}
-	w.pcStep = last.Dst
+	w.live = make([]cfa.LvalSet, nt)
+	w.pcStep = make([]*cfa.Loc, nt)
+	w.floor = make([]int, nt)
+	for t := range w.live {
+		w.live[t] = cfa.NewLvalSet()
+		w.floor[t] = w.n
+	}
 
-	if s.Opts.EarlyUnsatStop {
+	if w.opts.EarlyUnsatStop {
 		w.enc = wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 		w.solver = smt.NewSolverWithLimits(s.Opts.SolverLimits)
 	}
@@ -422,27 +449,35 @@ func (w *walker) run(ctx context.Context) (*Result, error) {
 			// slice, hence still sound; only completeness (minimality)
 			// degrades. See docs/ROBUSTNESS.md.
 			if err := w.degradeRest(); err != nil {
-				return nil, err
+				return err
 			}
 			break
 		}
+		t := w.th.thread(w.i)
+		if w.i > w.floor[t] {
+			w.i--
+			continue
+		}
 		e := w.src.Edge(w.i)
 		if e == nil {
-			return nil, w.src.Err()
+			return w.src.Err()
+		}
+		if w.pcStep[t] == nil {
+			w.pcStep[t] = e.Dst
 		}
 		op := e.Op
 		w.res.Stats.WalkedEdges++
-		tk, deg := s.take(op, e, w.live, w.pcStep)
+		tk, deg := w.take(t, e)
 		if deg {
 			w.res.Degraded = true
 			w.invalidateRecs()
 		}
-		w.record(w.i, tk)
+		w.record(w.i, tk, false)
 		if tk {
-			if op.Kind == cfa.OpReturn && s.Summ != nil {
+			if op.Kind == cfa.OpReturn && w.summ != nil {
 				handled, stopped, err := w.trySummary(ctx, e)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if handled {
 					if stopped {
@@ -454,18 +489,11 @@ func (w *walker) run(ctx context.Context) (*Result, error) {
 				// Miss: a recorder was pushed; walk the frame for real.
 			}
 			w.markDec(w.i, summ.DecTaken)
-			w.res.Taken[w.i] = true
-			w.countTaken(op.Kind)
-			w.takeLive(op)
-			w.pcStep = e.Src
-			if s.Opts.EarlyUnsatStop {
-				w.solver.Assert(w.enc.EncodeOpBackward(op))
-				if op.Kind == cfa.OpAssume && w.earlyCheck(ctx) {
-					w.i-- // the current edge is already taken
-					break
-				}
-			}
+			stop := w.keep(ctx, w.i, t, e)
 			w.i--
+			if stop {
+				break
+			}
 			w.finalizeRecs()
 			continue
 		}
@@ -475,8 +503,8 @@ func (w *walker) run(ctx context.Context) (*Result, error) {
 		// assume a live lvalue may be written (no skip) — degrading to a
 		// larger but sound slice.
 		entryMayWrite := true
-		if s.Opts.SkipFunctions && w.src.CallIdx(w.i) >= 0 {
-			wr, werr := s.DF.WrBt(e.Src.Fn.Entry, e.Src, w.live)
+		if w.opts.SkipFunctions && w.src.CallIdx(w.i) >= 0 {
+			wr, werr := s.DF.WrBt(e.Src.Fn.Entry, e.Src, w.live[t])
 			if werr != nil {
 				w.res.Degraded = true
 				w.invalidateRecs()
@@ -486,45 +514,100 @@ func (w *walker) run(ctx context.Context) (*Result, error) {
 		}
 		switch {
 		case op.Kind == cfa.OpReturn:
-			// Skip the entire irrelevant frame: resume just before the
-			// call edge that opened it.
+			// Skip the entire irrelevant frame, its call edge included —
+			// or, at a thread's outermost return (no call edge), the rest
+			// of the thread.
 			w.markDec(w.i, summ.DecSkipFrame)
-			w.res.Stats.SkippedFrames++
-			next := w.src.CallIdx(w.i) - 1
-			w.recordSkipped(w.i-1, next)
-			w.i = next
-		case s.Opts.SkipFunctions && w.src.CallIdx(w.i) >= 0 && !entryMayWrite:
+			lo := w.src.CallIdx(w.i)
+			if lo < 0 && w.th != nil {
+				w.th.skipped++
+			} else {
+				w.res.Stats.SkippedFrames++
+			}
+			w.skip(t, lo-1)
+		case w.opts.SkipFunctions && w.src.CallIdx(w.i) >= 0 && !entryMayWrite:
 			// §4.2: no live lvalue can be written between the frame's
 			// entry and here — jump straight to the call edge (which is
 			// then taken), dropping the guard chain. Sacrifices
 			// completeness.
 			w.markDec(w.i, summ.DecSkipChain)
 			w.res.Stats.SkippedGuardChains++
-			next := w.src.CallIdx(w.i)
-			w.recordSkipped(w.i-1, next)
-			w.i = next
+			w.skip(t, w.src.CallIdx(w.i))
 		default:
 			w.markDec(w.i, summ.DecNotTaken)
 			w.i--
 		}
 		w.finalizeRecs()
 	}
+	return w.finish()
+}
 
-	// Collect the taken edges in order. With a streaming source this
-	// re-reads only the kept blocks, forward.
-	res := w.res
-	for idx, tk := range res.Taken {
-		if tk {
-			e := w.src.Edge(idx)
-			if e == nil {
-				return nil, w.src.Err()
+// skip commits a skip of thread t's events above position floor. A
+// sequential walk jumps there, so a streaming source reads nothing in
+// between; an interleaved trace still walks the other threads' events.
+func (w *walker) skip(t, floor int) {
+	w.floor[t] = floor
+	if w.th != nil {
+		w.i--
+		return
+	}
+	for j := w.i - 1; w.opts.RecordTrace && j > floor; j-- {
+		w.record(j, false, true)
+	}
+	w.i = floor
+}
+
+// take decides the edge at w.i on thread t: the cross-thread rules,
+// then the Take predicate against the thread's own state.
+func (w *walker) take(t int, e *cfa.Edge) (taken, degraded bool) {
+	if w.th != nil {
+		switch e.Op.Kind {
+		case cfa.OpSpawn:
+			// The spawned child's residual demands flow into the
+			// spawner: whatever the child's walk still needs at its
+			// creation point must be preserved by the parent's earlier
+			// writes.
+			if c, ok := w.th.child[w.i]; ok && c < len(w.live) {
+				w.live[t].AddAll(w.live[c])
 			}
+		case cfa.OpReturn:
+			if w.opts.Unsound != UnsoundSkipCallees && w.th.pinned(w.i) {
+				return true, false
+			}
+		default:
+			if w.crossDemand(w.i) {
+				return true, false
+			}
+		}
+	}
+	return w.s.take(e.Op, e, w.live[t], w.pcStep[t])
+}
+
+// finish collects the slice and counts basic blocks per thread in one
+// forward pass, then records the slice metrics.
+func (w *walker) finish() error {
+	res := w.res
+	for _, l := range w.live {
+		res.Live.AddAll(l)
+	}
+	// prev[t] and kept[t] are thread t's last input and last kept edge.
+	prev := make([]*cfa.Edge, len(w.live))
+	kept := make([]*cfa.Edge, len(w.live))
+	for i := 0; i < w.n; i++ {
+		e := w.src.Edge(i)
+		if e == nil {
+			return w.src.Err()
+		}
+		t := w.th.thread(i)
+		res.Stats.InputBlocks += newBlock(prev[t], e)
+		prev[t] = e
+		if res.Taken[i] {
+			res.Stats.SliceBlocks += newBlock(kept[t], e)
+			kept[t] = e
 			res.Slice = append(res.Slice, e)
 		}
 	}
 	res.Stats.SliceEdges = len(res.Slice)
-	res.Stats.SliceBlocks = res.Slice.BasicBlocks()
-	res.Stats.InputBlocks = w.inputBlocks()
 	mSlices.Inc()
 	mInputEdges.Add(int64(res.Stats.InputEdges))
 	mSliceEdges.Add(int64(res.Stats.SliceEdges))
@@ -535,30 +618,16 @@ func (w *walker) run(ctx context.Context) (*Result, error) {
 	if res.Degraded {
 		mDegraded.Inc()
 	}
-	return res, nil
+	return nil
 }
 
-// inputBlocks counts the input path's basic blocks. For a materialized
-// path this delegates to the exact cfa.Path.BasicBlocks; a streaming
-// source would need a full forward re-read, so the count is carried by
-// the same definition over the source's edges.
-func (w *walker) inputBlocks() int {
-	if a, ok := w.src.(*pathAdapter); ok {
-		return a.p.BasicBlocks()
+// newBlock is 1 when e starts a basic block after prev (nil at a path's
+// start), as cfa.Path.BasicBlocks counts them.
+func newBlock(prev, e *cfa.Edge) int {
+	if prev == nil || len(e.Src.Out) > 1 || prev.Op.Kind == cfa.OpCall || prev.Op.Kind == cfa.OpReturn {
+		return 1
 	}
-	blocks := 1
-	var prevKind cfa.OpKind
-	for i := 0; i < w.n; i++ {
-		e := w.src.Edge(i)
-		if e == nil {
-			return blocks
-		}
-		if i > 0 && (len(e.Src.Out) > 1 || prevKind == cfa.OpCall || prevKind == cfa.OpReturn) {
-			blocks++
-		}
-		prevKind = e.Op.Kind
-	}
-	return blocks
+	return 0
 }
 
 // degradeRest keeps every not-yet-examined edge (context expiry).
@@ -595,13 +664,29 @@ func (w *walker) countTaken(k cfa.OpKind) {
 	}
 }
 
-// takeLive applies Live := (Live \ Wt.op) ∪ Rd.op with the must-alias
-// kill set of §3.4, and composes the update into every active frame
-// recording (kills ∪= Wt; adds = (adds \ Wt) ∪ Rd).
-func (w *walker) takeLive(op cfa.Op) {
+// keep puts edge e at position i, on thread t, into the slice; true
+// reports an early-unsat stop.
+func (w *walker) keep(ctx context.Context, i, t int, e *cfa.Edge) bool {
+	w.res.Taken[i] = true
+	w.countTaken(e.Op.Kind)
+	w.takeLive(t, e.Op)
+	w.pcStep[t] = e.Src
+	if !w.opts.EarlyUnsatStop {
+		return false
+	}
+	w.solver.Assert(w.enc.EncodeOpBackward(e.Op))
+	return e.Op.Kind == cfa.OpAssume && w.earlyCheck(ctx)
+}
+
+// takeLive applies Live := (Live \ Wt.op) ∪ Rd.op to thread t's live
+// set with the must-alias kill set of §3.4, and composes the update
+// into every active frame recording (kills ∪= Wt; adds = (adds \ Wt) ∪
+// Rd). Kills stay thread-local: a cross-thread kill would be unsound.
+func (w *walker) takeLive(t int, op cfa.Op) {
+	live := w.live[t]
 	if op.Kind == cfa.OpAssign {
 		for _, l := range w.s.Alias.MustWritten(op.LHS) {
-			w.live.Remove(l)
+			live.Remove(l)
 			for _, r := range w.recs {
 				r.kills.Add(l)
 				r.adds.Remove(l)
@@ -609,7 +694,7 @@ func (w *walker) takeLive(op cfa.Op) {
 		}
 	}
 	rd := op.Rd()
-	w.live.AddAll(rd)
+	live.AddAll(rd)
 	for _, r := range w.recs {
 		r.adds.AddAll(rd)
 	}
@@ -620,7 +705,7 @@ func (w *walker) takeLive(op cfa.Op) {
 // walk must stop.
 func (w *walker) earlyCheck(ctx context.Context) bool {
 	w.assumesSinceCheck++
-	if w.assumesSinceCheck < w.s.Opts.CheckEvery {
+	if w.assumesSinceCheck < w.opts.CheckEvery {
 		return false
 	}
 	w.assumesSinceCheck = 0
@@ -636,9 +721,10 @@ func (w *walker) earlyCheck(ctx context.Context) bool {
 	return false
 }
 
-// record appends a TracePoint (Options.RecordTrace only).
-func (w *walker) record(i int, taken bool) {
-	if !w.s.Opts.RecordTrace {
+// record appends a TracePoint (Options.RecordTrace only, so a
+// sequential walk: thread 0).
+func (w *walker) record(i int, taken, skipped bool) {
+	if !w.opts.RecordTrace {
 		return
 	}
 	e := w.src.Edge(i)
@@ -647,33 +733,16 @@ func (w *walker) record(i int, taken bool) {
 	}
 	w.res.Trace = append(w.res.Trace, TracePoint{
 		Index:    i,
-		Live:     w.live.Copy(),
-		StepLoc:  w.pcStep,
+		Live:     w.live[0].Copy(),
+		StepLoc:  w.pcStep[0],
 		Taken:    taken,
+		Skipped:  skipped,
 		EdgeRepr: e.String(),
 	})
 }
 
-// recordSkipped appends TracePoints for a skipped range (from down to
-// to, exclusive), Options.RecordTrace only.
-func (w *walker) recordSkipped(from, to int) {
-	if !w.s.Opts.RecordTrace {
-		return
-	}
-	for j := from; j > to; j-- {
-		e := w.src.Edge(j)
-		if e == nil {
-			return
-		}
-		w.res.Trace = append(w.res.Trace, TracePoint{
-			Index: j, Live: w.live.Copy(), StepLoc: w.pcStep,
-			Skipped: true, EdgeRepr: e.String(),
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Frame summaries (Options.Summaries)
+// Frame summaries (Options.Summaries; sequential walks only, thread 0)
 
 // trySummary handles a taken return edge at w.i through the summary
 // table. It returns handled=true when a memoized context covered the
@@ -704,11 +773,11 @@ func (w *walker) trySummary(ctx context.Context, e *cfa.Edge) (handled, stopped 
 
 	// Context key: the live set projected onto what the callee can
 	// touch.
-	proj, lh := w.s.Summ.Project(callee, w.live)
+	proj, lh := w.summ.Project(callee, w.live[0])
 
-	if sum := w.s.Summ.Lookup(h, ids, lh, proj); sum != nil {
+	if sum := w.summ.Lookup(h, ids, lh, proj); sum != nil {
 		w.res.Stats.SummaryHits++
-		if w.s.Opts.EarlyUnsatStop {
+		if w.opts.EarlyUnsatStop {
 			stopped, err = w.replaySummary(ctx, sum, lo, hi)
 			return true, stopped, err
 		}
@@ -747,10 +816,10 @@ func (w *walker) applySummary(sum *summ.Summary, lo int) error {
 	st.SkippedFrames += sum.Effects.SkippedFrames
 	st.SkippedGuardChains += sum.Effects.SkippedGuardChains
 	for _, l := range sum.Kills {
-		w.live.Remove(l)
+		w.live[0].Remove(l)
 	}
 	for _, l := range sum.Adds {
-		w.live.Add(l)
+		w.live[0].Add(l)
 	}
 	// Compose into enclosing recordings: their decision vectors absorb
 	// the memoized frame verbatim, their live transfers compose as
@@ -769,7 +838,7 @@ func (w *walker) applySummary(sum *summ.Summary, lo int) error {
 	if callEdge == nil {
 		return w.src.Err()
 	}
-	w.pcStep = callEdge.Src
+	w.pcStep[0] = callEdge.Src
 	w.i = lo - 1
 	return nil
 }
@@ -787,13 +856,7 @@ func (w *walker) replaySummary(ctx context.Context, sum *summ.Summary, lo, hi in
 			if e == nil {
 				return false, w.src.Err()
 			}
-			op := e.Op
-			w.res.Taken[j] = true
-			w.countTaken(op.Kind)
-			w.takeLive(op)
-			w.pcStep = e.Src
-			w.solver.Assert(w.enc.EncodeOpBackward(op))
-			if op.Kind == cfa.OpAssume && w.earlyCheck(ctx) {
+			if w.keep(ctx, j, 0, e) {
 				w.i = j - 1
 				return true, nil
 			}
@@ -865,7 +928,7 @@ func (w *walker) finalizeRecs() {
 				sum.TakenOffs = append(sum.TakenOffs, int32(off))
 			}
 		}
-		w.s.Summ.Insert(sum, rec.segHash, rec.liveHash)
+		w.summ.Insert(sum, rec.segHash, rec.liveHash)
 	}
 }
 
@@ -959,11 +1022,16 @@ func (s *Slicer) CheckFeasibility(p cfa.Path) (smt.Result, *wp.TraceEncoder) {
 // cancelled or times out the solve returns StatusUnknown — never a
 // wrong Sat or Unsat.
 func (s *Slicer) CheckFeasibilityCtx(ctx context.Context, p cfa.Path) (smt.Result, *wp.TraceEncoder) {
+	return s.checkOps(ctx, p.Ops())
+}
+
+// checkOps decides one operation sequence: the body of both
+// CheckFeasibilityCtx and CheckConcFeasibilityCtx.
+func (s *Slicer) checkOps(ctx context.Context, ops []cfa.Op) (smt.Result, *wp.TraceEncoder) {
 	sp := obs.StartSpan(obs.PhaseFeasibility)
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
-	f := enc.EncodeTrace(p.Ops())
-	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
+	return smt.SolveCtx(ctx, enc.EncodeTrace(ops), s.Opts.SolverLimits), enc
 }
 
 // TraceFormula returns the forward SSA constraint formula of a path's

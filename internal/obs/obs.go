@@ -53,6 +53,7 @@ const (
 	PhaseReach       = "reach"
 	PhasePathSlice   = "pathslice"
 	PhaseFeasibility = "feasibility"
+	PhaseRacy        = "racy"
 	PhaseWP          = "wp"
 	PhaseSMT         = "smt"
 	PhaseRefine      = "refine"
@@ -73,12 +74,14 @@ var RollupPhases = map[string]bool{
 // DetailPhases are fine-grained phases whose spans nest INSIDE leaf
 // phases (an smt solve runs inside reach, feasibility, refine, or
 // pathslice's early-stop; a wp trace encoding runs inside
-// feasibility). Their time is already counted by the enclosing leaf,
+// feasibility; a concurrent trace's racy-edge pre-pass runs inside
+// pathslice). Their time is already counted by the enclosing leaf,
 // so the phase table reports them in a separate detail section and
 // excludes them from the percent-of-wall sum.
 var DetailPhases = map[string]bool{
-	PhaseWP:  true,
-	PhaseSMT: true,
+	PhaseWP:   true,
+	PhaseSMT:  true,
+	PhaseRacy: true,
 }
 
 // global is the process-wide tracer consulted by StartSpan; nil means

@@ -99,7 +99,7 @@ func RandomConcSpec(rng *rand.Rand) ConcSpec {
 }
 
 // StarterConcSpecs seeds the campaign with the shape families the
-// concurrent walker can get wrong: single and double snoop pairs,
+// walk over concurrent traces can get wrong: single and double snoop pairs,
 // with and without the contradiction anchor, junk threads, locks.
 func StarterConcSpecs() []ConcSpec {
 	return []ConcSpec{

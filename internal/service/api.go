@@ -16,7 +16,7 @@ type SliceRequest struct {
 	// multi-threaded PSTRC02 (cfa.WriteConcTraceFile). The service
 	// slices exactly that trace instead of searching the CFA for
 	// candidate paths per target: a sequential trace streams with a
-	// bounded frame window; a concurrent trace runs the two-phase
+	// bounded frame window; a concurrent trace runs the racy-edge
 	// cross-thread walk (docs/CONCURRENCY.md) and reports its
 	// racy-edge structure.
 	TraceB64 string `json:"trace_b64,omitempty"`

@@ -347,13 +347,27 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sliceTarget folds one slicing result (and its feasibility verdict,
-// solved through the shared cache) into a wire target.
+// sliceTarget folds one sequential slicing result into a wire target.
 func (s *Server) sliceTarget(ctx context.Context, sl *core.Slicer, target string, res *core.Result, includeSlice bool) *SliceTarget {
-	st := res.Stats
+	var rendered []string
+	if includeSlice {
+		for _, e := range res.Slice {
+			rendered = append(rendered, e.String())
+		}
+	}
+	return s.foldTarget(ctx, sl, target, res.Stats, res.Degraded, res.KnownInfeasible, res.Slice, rendered)
+}
+
+// foldTarget folds one slice's stats and feasibility verdict into a
+// wire target. slice is the kept edges in trace order; for a threaded
+// trace that is the recorded interleaving, whose operation sequence is
+// the trace's formula. The solve goes through the shared verdict
+// cache: a repeat of a known slice costs a lookup. Cache hits carry no
+// model, so Witness is only present on fresh feasible solves.
+func (s *Server) foldTarget(ctx context.Context, sl *core.Slicer, target string, st core.Stats, degraded, knownInfeasible bool, slice cfa.Path, rendered []string) *SliceTarget {
 	t := &SliceTarget{
 		Target:        target,
-		Degraded:      res.Degraded,
+		Degraded:      degraded,
 		InputEdges:    st.InputEdges,
 		SliceEdges:    st.SliceEdges,
 		InputBlocks:   st.InputBlocks,
@@ -363,29 +377,21 @@ func (s *Server) sliceTarget(ctx context.Context, sl *core.Slicer, target string
 		SolverChecks:  st.SolverChecks,
 		SummaryHits:   st.SummaryHits,
 		SummaryMisses: st.SummaryMisses,
+		Slice:         rendered,
 	}
-	if includeSlice {
-		for _, e := range res.Slice {
-			t.Slice = append(t.Slice, e.String())
-		}
+	if knownInfeasible {
+		t.Feasibility = "infeasible"
+		return t
 	}
-	switch {
-	case res.KnownInfeasible:
+	fr := smt.CachedSolveCtx(ctx, s.cache, sl.TraceFormula(slice), sl.Opts.SolverLimits)
+	switch fr.Status {
+	case smt.StatusSat:
+		t.Feasibility = "feasible"
+		t.Witness = fr.Model
+	case smt.StatusUnsat:
 		t.Feasibility = "infeasible"
 	default:
-		// The feasibility solve goes through the shared verdict cache:
-		// a repeat of a known slice costs a lookup. Cache hits carry no
-		// model, so Witness is only present on fresh feasible solves.
-		fr := smt.CachedSolveCtx(ctx, s.cache, sl.TraceFormula(res.Slice), sl.Opts.SolverLimits)
-		switch fr.Status {
-		case smt.StatusSat:
-			t.Feasibility = "feasible"
-			t.Witness = fr.Model
-		case smt.StatusUnsat:
-			t.Feasibility = "infeasible"
-		default:
-			t.Feasibility = "unknown"
-		}
+		t.Feasibility = "unknown"
 	}
 	return t
 }
@@ -438,10 +444,9 @@ func (s *Server) sliceTrace(ctx context.Context, req *SliceRequest, ps *programS
 	return s.sliceTarget(ctx, sl, target, res, req.IncludeSlice), nil
 }
 
-// sliceConcTrace slices an uploaded multi-threaded PSTRC02 trace with
-// the two-phase concurrent walk (docs/CONCURRENCY.md). The feasibility
-// verdict covers the recorded interleaving only, so early-unsat
-// shortcuts never apply here.
+// sliceConcTrace slices an uploaded multi-threaded PSTRC02 trace
+// (docs/CONCURRENCY.md). The feasibility verdict covers the recorded
+// interleaving only, so early-unsat shortcuts never apply here.
 func (s *Server) sliceConcTrace(ctx context.Context, req *SliceRequest, ps *programState, sl *core.Slicer, raw []byte) (*SliceTarget, *httpError) {
 	tr, err := cfa.DecodeConcTrace(raw, ps.prog)
 	if err != nil {
@@ -459,34 +464,16 @@ func (s *Server) sliceConcTrace(ctx context.Context, req *SliceRequest, ps *prog
 	if len(tr) > 0 {
 		target = tr[len(tr)-1].Edge.Dst.String()
 	}
-	st := res.Stats
-	t := &SliceTarget{
-		Target:       target,
-		Degraded:     res.Degraded,
-		InputEdges:   st.InputEdges,
-		SliceEdges:   st.SliceEdges,
-		InputBlocks:  st.InputBlocks,
-		SliceBlocks:  st.SliceBlocks,
-		RatioPercent: 100 * st.Ratio(),
-		Threads:      st.Threads,
-		RacyEdges:    st.RacyEdges,
-		Regions:      st.Regions,
-	}
-	if req.IncludeSlice {
-		for _, ev := range res.Slice {
-			t.Slice = append(t.Slice, fmt.Sprintf("t%d %s", ev.TID, ev.Edge))
+	var rendered []string
+	slice := make(cfa.Path, len(res.Slice))
+	for i, ev := range res.Slice {
+		slice[i] = ev.Edge
+		if req.IncludeSlice {
+			rendered = append(rendered, fmt.Sprintf("t%d %s", ev.TID, ev.Edge))
 		}
 	}
-	fr, _ := sl.CheckConcFeasibilityCtx(ctx, res.Slice)
-	switch fr.Status {
-	case smt.StatusSat:
-		t.Feasibility = "feasible"
-		t.Witness = fr.Model
-	case smt.StatusUnsat:
-		t.Feasibility = "infeasible"
-	default:
-		t.Feasibility = "unknown"
-	}
+	t := s.foldTarget(ctx, sl, target, res.Stats.Stats, res.Degraded, false, slice, rendered)
+	t.Threads, t.RacyEdges, t.Regions = res.Stats.Threads, res.Stats.RacyEdges, res.Stats.Regions
 	return t, nil
 }
 

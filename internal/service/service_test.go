@@ -521,7 +521,7 @@ func concBugTrace(t *testing.T) (*cfa.Program, cfa.ConcTrace) {
 }
 
 // TestConcTraceUpload: a multi-threaded PSTRC02 trace uploaded as
-// base64 routes to the two-phase concurrent walk, reports its
+// base64 routes to the racy-edge cross-thread walk, reports its
 // racy-edge structure, and matches the in-process ConcSlice verdict.
 func TestConcTraceUpload(t *testing.T) {
 	prog, tr := concBugTrace(t)
@@ -550,6 +550,31 @@ func TestConcTraceUpload(t *testing.T) {
 	if tg.SliceEdges != want.Stats.SliceEdges || tg.RacyEdges != want.Stats.RacyEdges {
 		t.Fatalf("service/in-process divergence: got %d edges %d racy, want %d/%d",
 			tg.SliceEdges, tg.RacyEdges, want.Stats.SliceEdges, want.Stats.RacyEdges)
+	}
+}
+
+// TestConcTraceWarmVerdictCache: a threaded trace's feasibility solve
+// goes through the shared verdict cache like a sequential one, so
+// uploading the same PSTRC02 trace twice answers the second time from
+// the cache — same verdict, reported as a solver-cache hit, and no
+// witness (cache hits carry no model).
+func TestConcTraceWarmVerdictCache(t *testing.T) {
+	prog, tr := concBugTrace(t)
+	_, ts := newTestServer(t, Config{})
+	req := SliceRequest{
+		Source:   srcConc,
+		TraceB64: base64.StdEncoding.EncodeToString(cfa.AppendConcTrace(nil, prog, tr)),
+	}
+	cold := postSlice(t, ts, req)
+	warm := postSlice(t, ts, req)
+	if cold.Verdict != VerdictBug || warm.Verdict != VerdictBug {
+		t.Fatalf("verdicts = %q then %q, want bug both times", cold.Verdict, warm.Verdict)
+	}
+	if warm.Reuse.SolverCacheHits == 0 {
+		t.Fatal("second upload of the same threaded trace must hit the shared verdict cache")
+	}
+	if w := warm.Targets[0].Witness; w != nil {
+		t.Fatalf("cached verdict carries a witness %v; cache hits have no model", w)
 	}
 }
 

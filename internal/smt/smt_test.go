@@ -256,12 +256,6 @@ func TestRatHelpers(t *testing.T) {
 	if f := ratFloor(big.NewRat(-7, 2)); f.Int64() != -4 {
 		t.Errorf("floor(-7/2) = %v", f)
 	}
-	if got, ok := ratToInt64(big.NewRat(5, 1)); !ok || got != 5 {
-		t.Errorf("ratToInt64(5) = %v %v", got, ok)
-	}
-	if _, ok := ratToInt64(big.NewRat(5, 2)); ok {
-		t.Error("5/2 is not an int64")
-	}
 }
 
 func TestLinearizeSharing(t *testing.T) {

@@ -345,15 +345,3 @@ func linAtomHoldsScratch(a LinAtom, model map[string]*big.Int, sum, tmp *big.Int
 	}
 	return sum.Sign() <= 0
 }
-
-// ratToInt64 is a helper kept for tests.
-func ratToInt64(r *big.Rat) (int64, bool) {
-	if !r.IsInt() {
-		return 0, false
-	}
-	n := r.Num()
-	if !n.IsInt64() {
-		return 0, false
-	}
-	return n.Int64(), true
-}
